@@ -327,7 +327,10 @@ class BernardiReducer:
             raise PreconditionError(
                 "no representative: per-component degrees must equal genus - 1")
         cert = self.system.solve_potential(D - tree_divisor(g, ts))
-        assert cert is not None
+        if cert is None:
+            raise AssertionError(
+                "reduction found a representative with no chip-firing "
+                "certificate")
         from .divisors import EquivalenceCertificate
         return ts, EquivalenceCertificate(potential=cert)
 

@@ -4,6 +4,7 @@ Laplacian, and exact chip-firing equivalence with certificates."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import intlinalg
 from .errors import GraphInputError, PreconditionError
@@ -94,51 +95,52 @@ class EquivalenceCertificate:
     potential: dict  # vertex -> int, zero at the least vertex of each component
 
 
-class LaplacianSystem:
-    """Smith-form data of the weighted Laplacian of one graph.
+def reduced_laplacian(g):
+    """The Laplacian without the row and column of each component's first
+    vertex (its root), which leaves it nonsingular, and the indices of the
+    vertices it keeps."""
+    roots = {comp[0] for comp in g.components()}
+    keep = [i for i, v in enumerate(g.vertices) if v not in roots]
+    L = g.laplacian_matrix()
+    return [[L[i][j] for j in keep] for i in keep], keep
 
-    Gives O(1)-per-call class keys (two divisors are chip-firing
-    equivalent iff their keys agree) and exact integer solves of
-    Laplacian(f) = D.
+
+class LaplacianSystem:
+    """Exact inverse of the reduced Laplacian L_r of one graph: L_r X = e I,
+    with e the exponent of the Jacobian.
+
+    A divisor D is principal iff its degree on every component is 0 and
+    X D_r is divisible by e, where D_r drops the roots' coefficients.  That
+    gives class keys (two divisors are chip-firing equivalent iff their
+    keys agree) and exact integer solves of Laplacian(f) = D.
     """
 
     def __init__(self, g: WeightedMultigraph):
         self.g = g
-        self.L = g.laplacian_matrix()
-        self.U, self.S, self.V = intlinalg.smith_normal_form(self.L)
-        n = g.n
-        self.diag = [self.S[i][i] for i in range(n)]
+        Lr, self.keep = reduced_laplacian(g)
+        self.X, self.e = intlinalg.inverse(Lr)
+        self.comps = [[g.vindex(v) for v in comp] for comp in g.components()]
+
+    def _reduce(self, D: Divisor):
+        """Per-component degrees of D and X D_r."""
+        vec = D.vector(self.g)
+        degrees = tuple(sum(vec[i] for i in comp) for comp in self.comps)
+        vr = [vec[i] for i in self.keep]
+        return degrees, [sum(map(mul, row, vr)) for row in self.X]
 
     def class_key(self, D: Divisor):
-        vec = D.vector(self.g)
-        n = self.g.n
-        key = []
-        for i in range(n):
-            c = sum(self.U[i][k] * vec[k] for k in range(n))
-            s = self.diag[i]
-            key.append(c % s if s else c)
-        return tuple(key)
+        degrees, y = self._reduce(D)
+        return degrees, tuple(c % self.e for c in y)
 
     def solve_potential(self, D: Divisor):
-        """Integer f with Laplacian(f) = D, normalized per component, or None."""
-        vec = D.vector(self.g)
-        n = self.g.n
-        y = [0] * n
-        for i in range(n):
-            c = sum(self.U[i][k] * vec[k] for k in range(n))
-            s = self.diag[i]
-            if s:
-                if c % s:
-                    return None
-                y[i] = c // s
-            elif c:
-                return None
-        x = intlinalg.matvec(self.V, y)
-        f = dict(zip(self.g.vertices, x))
-        for comp in self.g.components():
-            base = f[comp[0]]
-            for v in comp:
-                f[v] -= base
+        """Integer f with Laplacian(f) = D, zero at each component's first
+        vertex, or None."""
+        degrees, y = self._reduce(D)
+        if any(degrees) or any(c % self.e for c in y):
+            return None
+        f = dict.fromkeys(self.g.vertices, 0)
+        for i, c in zip(self.keep, y):
+            f[self.g.vertices[i]] = c // self.e
         return f
 
 
@@ -151,7 +153,8 @@ def equivalent(g, D1, D2):
     f = LaplacianSystem(g).solve_potential(D1 - D2)
     if f is None:
         return None
-    assert laplacian(g, f).vector(g) == (D1 - D2).vector(g)
+    if laplacian(g, f).vector(g) != (D1 - D2).vector(g):
+        raise AssertionError("certificate potential's Laplacian is not D1 - D2")
     return EquivalenceCertificate(potential=f)
 
 

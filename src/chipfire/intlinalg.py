@@ -6,205 +6,122 @@ values may grow without overflow.  Matrices are lists of rows.
 
 from __future__ import annotations
 
-
-def eye(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+import math
 
 
-def matmul(A, B):
-    rows = len(A)
-    inner = len(B)
-    cols = len(B[0]) if inner else 0
-    return [[sum(A[i][k] * B[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
+def inverse(A):
+    """Scaled integral inverse of a nonsingular square matrix.
 
-
-def matvec(A, v):
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in A]
-
-
-def smith_normal_form(A):
-    """Diagonalize A over the integers.
-
-    Returns (U, S, V) with U*A*V == S, U and V unimodular, and S diagonal
-    with nonnegative entries satisfying S[0][0] | S[1][1] | ...
+    Returns (X, e) with A*X == e*I and e > 0 minimal, so e is the exponent
+    of the cokernel Z^n / A Z^n.  Fraction-free Gauss-Jordan elimination
+    (Bareiss) on [A | I] keeps every intermediate entry a minor of it.
+    Raises ValueError if A is singular.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    S = [list(map(int, row)) for row in A]
-    U = eye(m)
-    V = eye(n)
+    n = len(A)
+    M = [[int(x) for x in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(A)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if M[i][k]), None)
+        if p is None:
+            raise ValueError("singular matrix has no inverse")
+        M[k], M[p] = M[p], M[k]
+        pivot_row = M[k]
+        pivot = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                row = M[i]
+                f = row[k]
+                M[i] = [(pivot * a - f * b) // prev
+                        for a, b in zip(row, pivot_row)]
+        prev = pivot
+    # now M == [d*I | d*A^-1] with d = +-det(A); divide out the common content
+    X = [row[n:] for row in M]
+    c = math.gcd(prev, *(x for row in X for x in row))
+    if prev < 0:
+        c = -c
+    return [[x // c for x in row] for row in X], prev // c
 
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
+
+def smith_diagonal(A, m):
+    """Smith diagonal of A modulo m > 0: [gcd(s_i, m)] for i < min(rows, cols),
+    where s_1 | s_2 | ... is the Smith diagonal of A over the integers.
+
+    Every entry is kept reduced mod m, so coefficients stay below m.  The
+    result is the exact Smith diagonal of A whenever A has full rank and m
+    is a multiple of the exponent of the torsion of its cokernel.
+    """
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    S = [[x % m for x in row] for row in A]
 
     def swap_cols(i, j):
         for row in S:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
 
-    def addmul_row(dst, src, q):
-        Sd, Ss = S[dst], S[src]
-        for k in range(n):
-            Sd[k] += q * Ss[k]
-        Ud, Us = U[dst], U[src]
-        for k in range(m):
-            Ud[k] += q * Us[k]
-
-    def addmul_col(dst, src, q):
-        for row in S:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    t = 0
-    while t < min(m, n):
+    for t in range(min(rows, cols)):
         piv = None
-        for i in range(t, m):
-            for j in range(t, n):
+        for i in range(t, rows):
+            for j in range(t, cols):
                 v = S[i][j]
-                if v and (piv is None or abs(v) < abs(S[piv[0]][piv[1]])):
+                if v and (piv is None or v < S[piv[0]][piv[1]]):
                     piv = (i, j)
         if piv is None:
             break
-        swap_rows(t, piv[0])
+        S[t], S[piv[0]] = S[piv[0]], S[t]
         swap_cols(t, piv[1])
         while True:
             dirty = False
-            for i in range(t + 1, m):
+            for i in range(t + 1, rows):
                 if S[i][t]:
                     q = S[i][t] // S[t][t]
-                    addmul_row(i, t, -q)
+                    S[i] = [(a - q * b) % m for a, b in zip(S[i], S[t])]
                     if S[i][t]:
                         # remainder is smaller than the pivot; promote it
-                        swap_rows(t, i)
+                        S[t], S[i] = S[i], S[t]
                         dirty = True
-            for j in range(t + 1, n):
+            for j in range(t + 1, cols):
                 if S[t][j]:
                     q = S[t][j] // S[t][t]
-                    addmul_col(j, t, -q)
+                    for row in S[t:]:
+                        row[j] = (row[j] - q * row[t]) % m
                     if S[t][j]:
                         swap_cols(t, j)
                         dirty = True
             if dirty:
                 continue
-            bad = None
-            for i in range(t + 1, m):
-                if any(S[i][j] % S[t][t] for j in range(t + 1, n)):
-                    bad = i
-                    break
+            bad = next((i for i in range(t + 1, rows)
+                        if any(S[i][j] % S[t][t] for j in range(t + 1, cols))),
+                       None)
             if bad is None:
                 break
             # fold the offending row in so the pivot can shrink to the gcd
-            addmul_row(t, bad, 1)
-        if S[t][t] < 0:
-            S[t] = [-x for x in S[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-    return U, S, V
+            S[t] = [(a + b) % m for a, b in zip(S[t], S[bad])]
+    return [math.gcd(S[i][i], m) for i in range(min(rows, cols))]
 
 
-def snf_diagonal(A):
-    _, S, _ = smith_normal_form(A)
-    m = len(S)
-    n = len(S[0]) if m else 0
-    return [S[i][i] for i in range(min(m, n))]
+def gcd_basis(w):
+    """Columns of a unimodular V with w*V == (gcd(w), 0, ..., 0), by the
+    extended Euclidean algorithm on the row w.
 
-
-def invariant_factors(A):
-    """Invariant factors (> 1) of the cokernel Z^m / col-span(A)."""
-    return [d for d in snf_diagonal(A) if d > 1]
-
-
-def solve(A, b):
-    """One integer solution x of A x = b, or None if none exists."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    U, S, V = smith_normal_form(A)
-    c = matvec(U, b)
-    y = [0] * n
-    for i in range(m):
-        s = S[i][i] if i < n else 0
-        if s:
-            if c[i] % s:
-                return None
-            y[i] = c[i] // s
-        elif c[i]:
-            return None
-    return matvec(V, y)
-
-
-def kernel_basis(A):
-    """Basis (list of vectors) of the integer kernel {x : A x = 0}."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    _, S, V = smith_normal_form(A)
-    basis = []
-    for j in range(n):
-        if j >= m or S[j][j] == 0:
-            basis.append([V[i][j] for i in range(n)])
-    return basis
-
-
-def column_lattice_basis(A):
-    """Basis of the lattice spanned by the columns of A, as a list of columns."""
-    m = len(A)
-    if m == 0:
-        return []
-    active = [list(col) for col in zip(*A)]
-    basis = []
-    for r in range(m):
-        while True:
-            nz = [c for c in active if c[r]]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda c: abs(c[r]))
-            p = nz[0]
-            for c in nz[1:]:
-                q = c[r] // p[r]
-                for i in range(m):
-                    c[i] -= q * p[i]
-        piv = next((c for c in active if c[r]), None)
-        if piv is not None:
-            basis.append(piv)
-            active = [c for c in active if c is not piv and any(c)]
-        else:
-            active = [c for c in active if any(c)]
-    return basis
-
-
-def lattice_quotient_invariants(sup_cols, sub_cols):
-    """Invariant factors (> 1) of L1/L2 for lattices given by generating columns.
-
-    Requires L2 <= L1 and a finite quotient; raises ValueError otherwise.
+    The first column solves w*x == gcd(w); the others are a basis of the
+    integer kernel of w.
     """
-    if sup_cols:
-        dim = len(sup_cols[0])
-        mat = [[col[i] for col in sup_cols] for i in range(dim)]
-        basis = column_lattice_basis(mat)
-    else:
-        basis = []
-    r = len(basis)
-    if r == 0:
-        if any(any(c) for c in sub_cols):
-            raise ValueError("generators do not lie in the ambient lattice")
-        return []
-    dim = len(basis[0])
-    B = [[basis[j][i] for j in range(r)] for i in range(dim)]
-    coords = []
-    for col in sub_cols:
-        x = solve(B, list(col))
-        if x is None:
-            raise ValueError("not a sublattice: generator outside the big lattice")
-        coords.append(x)
-    X = [[coords[j][i] for j in range(len(coords))] for i in range(r)]
-    diag = snf_diagonal(X)
-    nonzero = [d for d in diag if d]
-    if len(nonzero) < r:
-        raise ValueError("quotient is infinite")
-    return [d for d in nonzero if d > 1]
+    r = list(w)
+    cols = [[int(i == j) for i in range(len(r))] for j in range(len(r))]
+    while sum(1 for x in r if x) > 1:
+        p = min((j for j in range(len(r)) if r[j]), key=lambda j: abs(r[j]))
+        for j in range(len(r)):
+            if j != p and r[j]:
+                q = r[j] // r[p]
+                r[j] -= q * r[p]
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[p])]
+    p = next((j for j in range(len(r)) if r[j]), 0)
+    if r:
+        cols[0], cols[p] = cols[p], cols[0]
+        if r[p] < 0:
+            cols[0] = [-a for a in cols[0]]
+    return cols
 
 
 def det(A):

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intlinalg, trees
-from .divisors import Divisor, LaplacianSystem, require_pleasant
+from .divisors import (Divisor, LaplacianSystem, reduced_laplacian,
+                       require_pleasant)
 from .errors import PreconditionError
 
 
@@ -23,40 +24,42 @@ class AbelianGroupStructure:
         return out
 
 
-def _merge_structures(structures):
-    """Invariant factors of a direct sum of cyclic groups."""
-    ds = [d for s in structures for d in s.invariant_factors]
-    if not ds:
-        return AbelianGroupStructure(())
-    diag = [[ds[i] if i == j else 0 for j in range(len(ds))]
-            for i in range(len(ds))]
-    return AbelianGroupStructure(tuple(intlinalg.invariant_factors(diag)))
+def _structure(A, e):
+    """Invariant factors of the torsion of Z^rows / col-span(A); e must be a
+    multiple of its exponent."""
+    return AbelianGroupStructure(
+        tuple(d for d in intlinalg.smith_diagonal(A, e) if d > 1))
 
 
 def pic0_structure(g) -> AbelianGroupStructure:
     """Invariant factors of degree-0 divisors modulo principal divisors."""
-    facs = intlinalg.invariant_factors(g.laplacian_matrix())
-    return AbelianGroupStructure(tuple(facs))
+    Lr, _ = reduced_laplacian(g)
+    _, e = intlinalg.inverse(Lr)
+    return _structure(Lr, e)
+
+
+def picb0_structure(g) -> AbelianGroupStructure:
+    """Invariant factors of balanced degree-0 divisors modulo principal ones.
+
+    Row v of the Laplacian divided by w(v) is integral on a pleasant graph,
+    and a -> (w(v) a_v) maps the kernel of the per-component weighted
+    degree onto the balanced degree-0 divisors, so the balanced Jacobian is
+    the torsion of the cokernel of W^-1 L, whose root columns are redundant.
+    It is a subgroup of the Jacobian, whose exponent bounds its own.
+    """
+    require_pleasant(g, "the balanced Jacobian")
+    Lr, keep = reduced_laplacian(g)
+    _, e = intlinalg.inverse(Lr)
+    L = g.laplacian_matrix()
+    return _structure([[L[i][j] // g.vertex_weight[v] for j in keep]
+                       for i, v in enumerate(g.vertices)], e)
 
 
 def _balanced_deg0_generators(g):
     """Columns generating the lattice of balanced degree-0 divisors."""
     weights = [g.vertex_weight[v] for v in g.vertices]
-    kernel = intlinalg.kernel_basis([weights])
+    kernel = intlinalg.gcd_basis(weights)[1:]
     return [[a * w for a, w in zip(vec, weights)] for vec in kernel]
-
-
-def picb0_structure(g) -> AbelianGroupStructure:
-    """Invariant factors of balanced degree-0 divisors modulo principal ones."""
-    require_pleasant(g, "the balanced Jacobian")
-    comps = g.components()
-    if len(comps) > 1:
-        return _merge_structures([picb0_structure(g.subgraph(c)) for c in comps])
-    sup = _balanced_deg0_generators(g)
-    L = g.laplacian_matrix()
-    sub = [[L[i][j] for i in range(g.n)] for j in range(g.n)]
-    facs = intlinalg.lattice_quotient_invariants(sup, sub)
-    return AbelianGroupStructure(tuple(facs))
 
 
 def count_pic0(g) -> int:
@@ -93,10 +96,11 @@ def count_picb0(g) -> int:
 def balanced_divisor_of_degree(g, d):
     """Some balanced divisor of degree d, or None if the gcd obstruction bites."""
     weights = [g.vertex_weight[v] for v in g.vertices]
-    a = intlinalg.solve([weights], [d])
-    if a is None:
+    q, r = divmod(d, math.gcd(*weights))
+    if r:
         return None
-    return Divisor.from_vector(g, [ai * w for ai, w in zip(a, weights)])
+    a = intlinalg.gcd_basis(weights)[0]
+    return Divisor.from_vector(g, [q * ai * w for ai, w in zip(a, weights)])
 
 
 def enumerate_coset_representatives_bruteforce(g, d, balanced_only=False):

@@ -1,15 +1,18 @@
 """Desk-scale verification suite.
 
 One pass over the exhaustive small-graph family cross-validates the
-tree-sum count, the Smith-form group structures, the brute-force coset
-enumeration, the sub-weighted-tree completeness, the hat-graph
-correspondence, the rewrite invariances, and the torsor axioms.  The
-CLI `selfcheck` command and the acceptance tests both run through here.
+tree-sum count, the Bareiss determinant, the group structures (Smith
+diagonals modulo the exponent that an exact inverse of the reduced
+Laplacian gives), the brute-force coset enumeration, the sub-weighted-tree
+completeness, the hat-graph correspondence, the rewrite invariances, and
+the torsor axioms.  The CLI `selfcheck` command and the acceptance tests
+both run through here.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -268,9 +271,7 @@ def sweep_family(family=None, on_progress=None) -> dict:
         split_done = False
         for e in g.edges:
             w = g.edge_weight[e.id]
-            unit = 1
-            for v in set(e.ends):
-                unit = unit * g.vertex_weight[v] // _gcd(unit, g.vertex_weight[v])
+            unit = math.lcm(*(g.vertex_weight[v] for v in e.ends))
             if w >= 2 * unit and w % unit == 0:
                 gs = split_edge(g, e.id, [w - unit, unit])
                 if gs.laplacian_matrix() != L:
@@ -333,12 +334,6 @@ def sweep_family(family=None, on_progress=None) -> dict:
     results["_torsor_candidates"] = torsor_candidates
     results["_stats"] = stats
     return results
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def check_torsor(graphs=None) -> CheckResult:

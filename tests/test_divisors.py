@@ -1,5 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+
 from chipfire import (Divisor, chip_fire, degree, equivalent, is_balanced,
-                      laplacian, unbalancing_class)
+                      laplacian, serialize, unbalancing_class)
 from chipfire.divisors import LaplacianSystem
 
 
@@ -83,3 +88,42 @@ def test_class_key_separates_classes(tw):
     D3 = Divisor({"v1": 0, "v2": 0, "v3": 1})
     assert sys.class_key(D1) == sys.class_key(D2)
     assert sys.class_key(D1) != sys.class_key(D3)
+
+
+# Run under `python -O`, which strips `assert` statements: the checks that
+# certify a certificate must still fire, and the CLI must report them with
+# exit code 2.
+_OPTIMIZED_CHECKS = r"""
+import sys
+from chipfire import cli, divisors
+from chipfire.divisors import Divisor
+from chipfire.selfcheck import triangle_tw
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+g = triangle_tw()
+divisors.LaplacianSystem.solve_potential = lambda self, D: dict.fromkeys(g.vertices, 0)
+try:
+    divisors.equivalent(g, Divisor({"v1": 2, "v2": -2, "v3": 0}), Divisor.zero(g))
+    print("equivalent accepted a wrong certificate")
+except AssertionError:
+    print("equivalent raised")
+divisors.LaplacianSystem.solve_potential = lambda self, D: None
+print("reduce exit", cli.main(["reduce", "--graph", sys.argv[1],
+                               "--divisor", sys.argv[2]]))
+"""
+
+
+def test_certificate_checks_survive_optimize(tw, tmp_path):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(serialize.graph_to_obj(tw)))
+    divisor = tmp_path / "d.json"
+    divisor.write_text(json.dumps({"coefficients": {"v1": 2, "v2": -2, "v3": 1}}))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS, str(graph), str(divisor)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["equivalent raised", "reduce exit 2"]

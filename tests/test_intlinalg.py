@@ -1,4 +1,10 @@
+import math
+import random
+
+import pytest
 import sympy
+from sympy import ZZ
+from sympy.matrices.normalforms import invariant_factors as sympy_invariants
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,66 +17,89 @@ matrices = st.integers(1, 4).flatmap(
             st.lists(st.integers(-9, 9), min_size=n, max_size=n),
             min_size=m, max_size=m)))
 
+square_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
 
-def _unimodular(M):
-    return abs(sympy.Matrix(M).det()) == 1
+def _sympy_diagonal(A):
+    """Nonnegative Smith diagonal of A, min(rows, cols) entries long."""
+    diag = [abs(int(x)) for x in sympy_snf(sympy.Matrix(A), domain=ZZ).diagonal()]
+    return (diag + [0] * len(A[0]))[:min(len(A), len(A[0]))]
 
 
-@given(matrices)
+def _matvec(A, v):
+    return [sum(a * x for a, x in zip(row, v)) for row in A]
+
+
+def _random_laplacian(rng, n):
+    """Random spanning tree plus 2n random edges, edge weights 1-5."""
+    L = [[0] * n for _ in range(n)]
+    edges = [(i, rng.randrange(i)) for i in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(2 * n)]
+    for u, v in edges:
+        w = rng.randint(1, 5)
+        L[u][u] += w
+        L[v][v] += w
+        L[u][v] -= w
+        L[v][u] -= w
+    return L
+
+
+@given(square_matrices)
 @settings(max_examples=150, deadline=None)
-def test_snf_factorization(A):
-    U, S, V = intlinalg.smith_normal_form(A)
-    assert intlinalg.matmul(intlinalg.matmul(U, A), V) == S
-    assert _unimodular(U) and _unimodular(V)
-    diag = [S[i][i] for i in range(min(len(S), len(S[0])))]
-    assert all(d >= 0 for d in diag)
-    for a, b in zip(diag, diag[1:]):
-        if a:
-            assert b % a == 0
-        else:
-            assert b == 0
-    for i, row in enumerate(S):
-        for j, x in enumerate(row):
-            if i != j:
-                assert x == 0
+def test_inverse_is_exact_and_minimal(A):
+    if intlinalg.det(A) == 0:
+        with pytest.raises(ValueError):
+            intlinalg.inverse(A)
+        return
+    X, e = intlinalg.inverse(A)
+    n = len(A)
+    assert sympy.Matrix(A) * sympy.Matrix(X) == e * sympy.eye(n)
+    # e is minimal: no common factor of e and X could be divided out
+    assert e > 0 and math.gcd(e, *(x for row in X for x in row)) == 1
+    assert e == _sympy_diagonal(A)[-1]
 
 
-@given(matrices)
-@settings(max_examples=100, deadline=None)
-def test_snf_matches_sympy(A):
-    got = [d for d in intlinalg.snf_diagonal(A) if d]
-    M = sympy.Matrix(A)
-    want = [abs(x) for x in sympy_snf(M).diagonal() if x]
-    assert got == want
+@given(matrices, st.integers(1, 60))
+@settings(max_examples=150, deadline=None)
+def test_snf_matches_sympy(A, m):
+    want = _sympy_diagonal(A)
+    assert intlinalg.smith_diagonal(A, m) == [math.gcd(s, m) for s in want]
+    if all(want):
+        exponent = want[-1]
+        assert intlinalg.smith_diagonal(A, m * exponent) == want
 
 
-@given(matrices, st.lists(st.integers(-5, 5), min_size=1, max_size=4))
+@given(square_matrices, st.lists(st.integers(-5, 5), min_size=5, max_size=5))
 @settings(max_examples=100, deadline=None)
 def test_solve_is_sound(A, x):
-    x = (x + [0] * len(A[0]))[:len(A[0])]
-    b = intlinalg.matvec(A, x)
-    got = intlinalg.solve(A, b)
-    assert got is not None
-    assert intlinalg.matvec(A, got) == b
+    if intlinalg.det(A) == 0:
+        return
+    x = x[:len(A)]
+    X, e = intlinalg.inverse(A)
+    y = _matvec(X, _matvec(A, x))
+    assert [c // e for c in y] == x and all(c % e == 0 for c in y)
 
 
 def test_solve_detects_unsolvable():
-    assert intlinalg.solve([[2]], [1]) is None
-    assert intlinalg.solve([[1, 0], [0, 0]], [0, 1]) is None
+    for A, b in (([[2]], [1]), ([[2, 0], [0, 3]], [0, 1])):
+        X, e = intlinalg.inverse(A)
+        assert any(c % e for c in _matvec(X, b))
 
 
-@given(matrices)
+@given(st.lists(st.integers(-12, 12), min_size=1, max_size=5))
 @settings(max_examples=100, deadline=None)
-def test_kernel_basis(A):
-    basis = intlinalg.kernel_basis(A)
-    for vec in basis:
-        assert intlinalg.matvec(A, vec) == [0] * len(A)
-    assert len(basis) == len(A[0]) - sympy.Matrix(A).rank()
+def test_kernel_basis(w):
+    # w*V == (g, 0, ..., 0) with V unimodular, so V's columns after the
+    # first are a basis of the integer kernel of w
+    cols = intlinalg.gcd_basis(w)
+    V = [[col[i] for col in cols] for i in range(len(w))]
+    assert abs(sympy.Matrix(V).det()) == 1
+    assert [sum(a * b for a, b in zip(w, col)) for col in cols] == \
+        [math.gcd(*w)] + [0] * (len(w) - 1)
 
 
-@given(st.integers(1, 4).flatmap(
-    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
-                       min_size=n, max_size=n)))
+@given(square_matrices)
 @settings(max_examples=150, deadline=None)
 def test_det_matches_sympy(A):
     assert intlinalg.det(A) == sympy.Matrix(A).det()
@@ -78,29 +107,28 @@ def test_det_matches_sympy(A):
 
 def test_lattice_quotient_simple():
     # Z^2 / (2Z x 3Z) = Z/2 + Z/3 = Z/6
-    sup = [[1, 0], [0, 1]]
-    sub = [[2, 0], [0, 3]]
-    assert intlinalg.lattice_quotient_invariants(sup, sub) == [6]
+    A = [[2, 0], [0, 3]]
+    _, e = intlinalg.inverse(A)
+    assert e == 6
+    assert intlinalg.smith_diagonal(A, e) == [1, 6]
 
 
-def test_lattice_quotient_rejects_non_sublattice():
-    import pytest
-    with pytest.raises(ValueError):
-        intlinalg.lattice_quotient_invariants([[2, 0], [0, 2]], [[1, 0]])
+def test_roadmap_7x7_laplacian(roadmap_7x7):
+    Lr = [row[1:] for row in roadmap_7x7[1:]]
+    X, e = intlinalg.inverse(Lr)
+    assert sympy.Matrix(Lr) * sympy.Matrix(X) == e * sympy.eye(6)
+    diag = intlinalg.smith_diagonal(Lr, e)
+    assert math.prod(diag) == intlinalg.det(Lr) == 6084143
+    assert diag == _sympy_diagonal(Lr)
 
 
-def test_lattice_quotient_rejects_infinite():
-    import pytest
-    with pytest.raises(ValueError):
-        intlinalg.lattice_quotient_invariants([[1, 0], [0, 1]], [[1, 0]])
-
-
-def test_column_lattice_basis_spans():
-    cols = [[2, 0], [3, 0], [0, 5]]
-    mat = [[2, 3, 0], [0, 0, 5]]
-    basis = intlinalg.column_lattice_basis(mat)
-    # gcd(2,3) = 1 on the first axis
-    B = [[b[i] for b in basis] for i in range(2)]
-    for col in ([1, 0], [0, 5]):
-        assert intlinalg.solve(B, col) is not None
-    assert intlinalg.solve(B, [0, 1]) is None
+def test_random_weighted_laplacians():
+    rng = random.Random(1)
+    for n in range(5, 41):
+        Lr = [row[1:] for row in _random_laplacian(rng, n)[1:]]
+        _, e = intlinalg.inverse(Lr)
+        diag = intlinalg.smith_diagonal(Lr, e)
+        assert math.prod(diag) == intlinalg.det(Lr)
+        if n <= 12:
+            want = [int(d) for d in sympy_invariants(sympy.Matrix(Lr), domain=ZZ)]
+            assert [d for d in diag if d > 1] == [d for d in want if d > 1]

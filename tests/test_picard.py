@@ -1,9 +1,13 @@
+import math
+import random
+
 import pytest
 
-from chipfire import (Divisor, PreconditionError, WeightedMultigraph,
-                      count_pic0, count_picb0, degree,
+from chipfire import (Divisor, LaplacianSystem, PreconditionError,
+                      WeightedMultigraph, count_pic0, count_picb0, degree,
                       enumerate_coset_representatives_bruteforce, equivalent,
-                      is_balanced, pic0_structure, picb0_structure)
+                      is_balanced, laplacian, pic0_structure, picb0_structure)
+from chipfire import intlinalg
 
 
 def test_pic0_structure(triangle, tw):
@@ -71,3 +75,51 @@ def test_disconnected_direct_sum(tw):
     assert pic0_structure(two).order == 8 * 3
     assert picb0_structure(two).order == 4 * 3
     assert count_pic0(two) == 24 and count_picb0(two) == 12
+
+
+def _graph_from_laplacian(L):
+    n = len(L)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if L[i][j]]
+    return WeightedMultigraph.build(
+        [f"v{i}" for i in range(n)],
+        [(f"e{i}_{j}", (f"v{i}", f"v{j}")) for i, j in pairs], {},
+        {f"e{i}_{j}": -L[i][j] for i, j in pairs})
+
+
+def _random_pleasant(rng, n):
+    """Random spanning tree plus 2n random edges; vertex weights 1-3, edge
+    weights a multiple (1 or 2) of the lcm of their ends' weights."""
+    vw = [1] + [rng.randint(1, 3) for _ in range(n - 1)]
+    pairs = [(i, rng.randrange(i)) for i in range(1, n)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(2 * n)]
+    edges = [(f"e{k}", (f"v{u}", f"v{v}")) for k, (u, v) in enumerate(pairs)]
+    return WeightedMultigraph.build(
+        [f"v{i}" for i in range(n)], edges,
+        {f"v{i}": w for i, w in enumerate(vw)},
+        {f"e{k}": math.lcm(vw[u], vw[v]) * rng.randint(1, 2)
+         for k, (u, v) in enumerate(pairs)})
+
+
+def test_roadmap_7x7_structures(roadmap_7x7):
+    g = _graph_from_laplacian(roadmap_7x7)
+    assert g.laplacian_matrix() == roadmap_7x7
+    assert pic0_structure(g).invariant_factors == (6084143,)
+    assert picb0_structure(g) == pic0_structure(g)
+
+
+def test_random_pleasant_graphs():
+    rng = random.Random(1)
+    for n in range(5, 41, 5):
+        g = _random_pleasant(rng, n)
+        L = g.laplacian_matrix()
+        det = intlinalg.det([row[1:] for row in L[1:]])
+        weights = [g.vertex_weight[v] for v in g.vertices]
+        assert pic0_structure(g).order == det
+        assert (picb0_structure(g).order * math.prod(weights)
+                == det * math.gcd(*weights))
+        f = {v: rng.randint(-3, 3) for v in g.vertices}
+        D0 = Divisor({v: rng.randint(-3, 3) for v in g.vertices})
+        system = LaplacianSystem(g)
+        assert system.solve_potential(laplacian(g, f)) == {
+            v: x - f[g.vertices[0]] for v, x in f.items()}
+        assert system.class_key(D0) == system.class_key(D0 + laplacian(g, f))
