@@ -16,7 +16,7 @@ def main():
     print(f"edge weights: {g.edge_weight}")
     print(f"weighted genus: {weighted_genus(g)}")
     print(f"Jacobian: {pic0_structure(g).invariant_factors} "
-          f"(tree-sum count {count_pic0(g)})")
+          f"(count {count_pic0(g)})")
     print(f"balanced Jacobian: {picb0_structure(g).invariant_factors} "
           f"(count {count_picb0(g)})")
     print()

@@ -17,8 +17,8 @@ from .picard import (AbelianGroupStructure, count_pic0, count_picb0,
                      pic0_structure, picb0_structure)
 from .bernardi import (BernardiReducer, Orientation, SubweightedTree,
                        enumerate_subweightings, hat_tree_to_pair,
-                       orientation_divisor, reduce, torsor_act, tour,
-                       tour_forest, tree_divisor, trivial_subweighting)
+                       orientation_divisor, reduce, torsor_act, tour_forest,
+                       tree_divisor)
 from .fibers import (InjectivityReport, SpecialFiberDescription,
                      balanced_representatives, check_base_change_injectivity,
                      component_group, dual_graph, phi_note, psi_map)
@@ -40,8 +40,7 @@ __all__ = [
     "picb0_structure",
     "BernardiReducer", "Orientation", "SubweightedTree",
     "enumerate_subweightings", "hat_tree_to_pair", "orientation_divisor",
-    "reduce", "torsor_act", "tour", "tour_forest", "tree_divisor",
-    "trivial_subweighting",
+    "reduce", "torsor_act", "tour_forest", "tree_divisor",
     "InjectivityReport", "SpecialFiberDescription",
     "balanced_representatives", "check_base_change_injectivity",
     "component_group", "dual_graph", "phi_note", "psi_map",

@@ -15,8 +15,8 @@ import itertools
 from dataclasses import dataclass
 
 from .divisors import Divisor, LaplacianSystem, degree
-from .errors import PreconditionError
-from .graphs import WeightedMultigraph, weighted_genus
+from .errors import GraphInputError, PreconditionError
+from .graphs import WeightedMultigraph, is_int, weighted_genus
 from .trees import enumerate_forests, is_maximal_forest
 
 
@@ -25,25 +25,105 @@ class Orientation:
     direction: dict  # edge id -> (tail, head); loops have tail == head
 
 
+def resolve_roots(g, roots=None, starts=None):
+    """One root per component, in component order, and the start half-edge
+    of every root that has half-edges.
+
+    A given root replaces its component's first vertex.  A root without a
+    given start starts at the first half-edge of its ribbon.  A start is a
+    half-edge at its root, or a token for one: its edge id (the first such
+    half-edge in the ribbon), or "id:side" as tree files write loops.
+    Raises GraphInputError on an unknown vertex, two roots in one component,
+    or a start that is not at its root.
+    """
+    comps = g.components()
+    chosen = [comp[0] for comp in comps]
+    if roots is not None:
+        given = set()
+        for q in roots:
+            g.vindex(q)  # rejects an unknown vertex
+            i = next(i for i, comp in enumerate(comps) if q in comp)
+            if i in given:
+                raise GraphInputError(f"two roots given in the component of {q!r}")
+            given.add(i)
+            chosen[i] = q
+    starts = {} if starts is None else starts
+    resolved = {}
+    for q in chosen:
+        ring = g.ribbon[q]
+        if q in starts:
+            resolved[q] = _start_at(ring, q, starts[q])
+        elif ring:
+            resolved[q] = ring[0]
+    stray = [v for v in starts if v not in resolved]
+    if stray:
+        raise GraphInputError(f"start {starts[stray[0]]!r} is given for "
+                              f"{stray[0]!r}, which is not a root")
+    return tuple(chosen), resolved
+
+
+def _start_at(ring, q, token):
+    if token in ring:
+        return token
+    for h in ring:
+        if token in (h[0], f"{h[0]}:{h[1]}"):
+            return h
+    raise GraphInputError(f"start {token!r} is not a half-edge at root {q!r}")
+
+
 @dataclass(frozen=True)
 class SubweightedTree:
+    """A maximal spanning forest (edge ids in declaration order), a
+    sub-weighting sigma with 1 <= sigma <= w on it and sigma = w off it,
+    one root per component and the start half-edge of each root.
+
+    `build` validates; the plain constructor trusts its caller.
+    """
     forest_edges: tuple[str, ...]
-    sigma: dict  # edge id -> int; equals the edge weight off the forest
-    roots: tuple[str, ...]  # one per component
+    sigma: dict  # edge id -> int
+    roots: tuple[str, ...]
     starts: dict  # root -> half-edge, absent for isolated roots
 
+    @classmethod
+    def build(cls, g, forest, sigma=None, roots=None, starts=None):
+        """The validated tree; sigma defaults to the edge weights, roots
+        and starts resolve as in `resolve_roots`.  Raises GraphInputError."""
+        forest = list(forest)
+        try:
+            maximal = is_maximal_forest(g, forest)
+        except TypeError:  # an unhashable id, as a JSON file may hold
+            maximal = False
+        if not maximal:
+            raise GraphInputError(f"forest {forest!r} is not a maximal spanning "
+                                  "forest of distinct edges of the graph")
+        order = {e.id: k for k, e in enumerate(g.edges)}
+        forest = tuple(sorted(forest, key=order.get))
+        if sigma is None:
+            sigma = dict(g.edge_weight)
+        else:
+            if set(sigma) != set(order):
+                raise GraphInputError("sigma must give exactly the graph's edges")
+            in_forest = set(forest)
+            for eid, w in g.edge_weight.items():
+                s = sigma[eid]
+                if not is_int(s) or not (1 <= s <= w if eid in in_forest
+                                         else s == w):
+                    raise GraphInputError(
+                        f"sigma at {eid!r} is {s!r}; it must be an integer in "
+                        f"1..{w} on the forest and {w} off it")
+            sigma = {eid: sigma[eid] for eid in order}
+        return cls(forest, sigma, *resolve_roots(g, roots, starts))
 
-def default_roots(g):
-    roots = tuple(comp[0] for comp in g.components())
-    starts = {q: g.ribbon[q][0] for q in roots if g.ribbon[q]}
-    return roots, starts
+    def key(self):
+        """Hashable (forest, sigma) pair, the same for equal sub-weightings
+        whatever the order of sigma's entries."""
+        return self.forest_edges, frozenset(self.sigma.items())
 
 
 class _TourMachine:
     """Index-based tour runner, built once per graph."""
 
     def __init__(self, g: WeightedMultigraph):
-        self.g = g
         halves = []
         index = {}
         for v in g.vertices:
@@ -64,18 +144,11 @@ class _TourMachine:
         self.partner = [index[(h[0], 1 - h[1])] for h in halves]
         self.other_end = [g.edge(h[0]).ends[1 - h[1]] for h in halves]
 
-    def run(self, tree_ids, q, e0):
-        """Orient every edge of q's component; returns edge id -> (tail, head)."""
-        g = self.g
-        if e0 not in self.index:
-            raise PreconditionError(f"start half-edge {e0!r} does not exist")
-        start = self.index[e0]
-        if self.vert_of[start] != q:
-            raise PreconditionError("start half-edge must be incident to the root")
+    def run(self, tree_ids, e0):
+        """Orient every edge of e0's component; returns edge id -> (tail, head)."""
         orient = {}
-        cur = start
-        limit = len(self.vert_of) + 1
-        for _ in range(limit):
+        start = cur = self.index[e0]
+        for _ in range(len(self.vert_of) + 1):
             eid = self.eid_of[cur]
             v = self.vert_of[cur]
             if eid in tree_ids:
@@ -101,67 +174,19 @@ def _machine(g) -> _TourMachine:
     return m
 
 
-def tour(g, T, q=None, e0=None) -> Orientation:
-    """Orientation of q's component from touring the spanning tree T."""
-    roots, starts = default_roots(g)
-    if q is None:
-        q = roots[0]
-    comp = next(c for c in g.components() if q in c)
-    sub = g.subgraph(comp)
-    T = tuple(T)
-    if not is_maximal_forest(sub, T):
-        raise PreconditionError("T must be a spanning tree of the root's component")
-    if e0 is None:
-        if not g.ribbon[q]:
-            return Orientation({})
-        e0 = g.ribbon[q][0]
-    elif isinstance(e0, str):
-        e0 = _halfedge_at(g, e0, q)
-    orient = _TourMachine(sub).run(set(T), q, e0)
-    return Orientation(orient)
-
-
-def _halfedge_at(g, eid, v):
-    for h in g.ribbon[v]:
-        if h[0] == eid:
-            return h
-    raise PreconditionError(f"edge {eid!r} is not incident to {v!r}")
-
-
 def tour_forest(g, forest, roots=None, starts=None):
-    """Orient all edges by touring one spanning tree per component."""
-    if roots is None or starts is None:
-        droots, dstarts = default_roots(g)
-        roots = droots if roots is None else roots
-        starts = dstarts if starts is None else starts
-    forest = set(forest)
-    comps = g.components()
-    if len(comps) == 1:
-        q = next(v for v in roots if v in comps[0])
-        T = tuple(e.id for e in g.edges if e.id in forest)
-        if not is_maximal_forest(g, T):
-            raise PreconditionError(
-                "forest must restrict to a spanning tree on each component")
-        if not g.ribbon[q]:
-            return Orientation({})
-        e0 = starts.get(q, g.ribbon[q][0])
-        if isinstance(e0, str):
-            e0 = _halfedge_at(g, e0, q)
-        return Orientation(_machine(g).run(forest, q, e0))
+    """Orient all edges by touring the forest's tree in each component from
+    its root and start (see `resolve_roots`)."""
+    forest = tuple(forest)
+    if not is_maximal_forest(g, forest):
+        raise PreconditionError(
+            "forest must restrict to a spanning tree on each component")
+    _, starts = resolve_roots(g, roots, starts)
+    machine = _machine(g)
+    tree_ids = set(forest)
     direction = {}
-    for comp in comps:
-        q = next(v for v in roots if v in comp)
-        sub = g.subgraph(comp)
-        T = tuple(eid for eid in (e.id for e in sub.edges) if eid in forest)
-        if not is_maximal_forest(sub, T):
-            raise PreconditionError(
-                "forest must restrict to a spanning tree on each component")
-        if not sub.ribbon[q]:
-            continue
-        e0 = starts.get(q, sub.ribbon[q][0])
-        if isinstance(e0, str):
-            e0 = _halfedge_at(sub, e0, q)
-        direction.update(_TourMachine(sub).run(set(T), q, e0))
+    for e0 in starts.values():
+        direction.update(machine.run(tree_ids, e0))
     return Orientation(direction)
 
 
@@ -174,11 +199,6 @@ def orientation_divisor(g, O: Orientation) -> Divisor:
     for eid, (_tail, head) in O.direction.items():
         indeg[head] += 1
     return Divisor({v: indeg[v] - 1 for v in g.vertices})
-
-
-def _forest_in_edge_order(g, forest):
-    fset = set(forest)
-    return tuple(e.id for e in g.edges if e.id in fset)
 
 
 def _sigma_is_balanced(g, orient, sigma):
@@ -202,32 +222,18 @@ def _sigma_is_balanced(g, orient, sigma):
 
 def enumerate_subweightings(g, T, balanced_only=False, roots=None, starts=None):
     """All edge sub-weightings of the forest T, in sigma-lexicographic order."""
-    forest = _forest_in_edge_order(g, T)
-    if not is_maximal_forest(g, forest):
-        raise PreconditionError("T must be a maximal spanning forest")
-    if roots is None or starts is None:
-        droots, dstarts = default_roots(g)
-        roots = droots if roots is None else roots
-        starts = dstarts if starts is None else starts
-    orient = tour_forest(g, forest, roots, starts).direction
-    fixed = {e.id: g.edge_weight[e.id] for e in g.edges if e.id not in forest}
+    base = SubweightedTree.build(g, T, roots=roots, starts=starts)
+    forest = base.forest_edges
+    orient = tour_forest(g, forest, base.roots, base.starts).direction
     ranges = [range(1, g.edge_weight[eid] + 1) for eid in forest]
     out = []
     for combo in itertools.product(*ranges):
-        sigma = dict(fixed)
+        sigma = dict(base.sigma)
         sigma.update(zip(forest, combo))
         if balanced_only and not _sigma_is_balanced(g, orient, sigma):
             continue
-        out.append(SubweightedTree(forest, sigma, tuple(roots), dict(starts)))
+        out.append(SubweightedTree(forest, sigma, base.roots, base.starts))
     return out
-
-
-def trivial_subweighting(g, T, roots=None, starts=None):
-    forest = _forest_in_edge_order(g, T)
-    if roots is None or starts is None:
-        roots, starts = default_roots(g)
-    sigma = {e.id: g.edge_weight[e.id] for e in g.edges}
-    return SubweightedTree(forest, sigma, tuple(roots), dict(starts))
 
 
 def tree_divisor(g, ts: SubweightedTree) -> Divisor:
@@ -253,19 +259,17 @@ def hat_tree_to_pair(g, hat, hatT) -> SubweightedTree:
     """Spanning tree of the expanded graph -> sub-weighted tree of g."""
     hat_g = hat.graph
     hatT = set(hatT)
-    if not is_maximal_forest(hat_g, tuple(hatT)):
-        raise PreconditionError("hatT must be a maximal forest of the hat graph")
     orient = tour_forest(hat_g, hatT).direction
     copies = {}
     for cid, (eid, _i) in hat.copy_of.items():
         copies.setdefault(eid, []).append(cid)
-    tree_edges = set()
+    forest = []
     sigma = {}
     for e in g.edges:
         cs = copies[e.id]
         in_tree = [c for c in cs if c in hatT]
         if in_tree:
-            tree_edges.add(e.id)
+            forest.append(e.id)
             ref = orient[in_tree[0]]
             sigma[e.id] = sum(1 for c in cs if orient[c] == ref)
         else:
@@ -277,9 +281,7 @@ def hat_tree_to_pair(g, hat, hatT) -> SubweightedTree:
                     raise AssertionError(
                         f"copies of non-tree edge {e.id!r} received mixed "
                         f"directions {sorted(dirs)}; correspondence assumption violated")
-    forest = _forest_in_edge_order(g, tree_edges)
-    roots, starts = default_roots(g)
-    return SubweightedTree(forest, sigma, roots, starts)
+    return SubweightedTree(tuple(forest), sigma, *resolve_roots(g))
 
 
 def hat_reference_shift(g) -> Divisor:
@@ -295,14 +297,8 @@ class BernardiReducer:
     degree genus-1 to its unique sub-weighted forest representative."""
 
     def __init__(self, g, roots=None, starts=None):
-        if roots is None or starts is None:
-            droots, dstarts = default_roots(g)
-            roots = droots if roots is None else tuple(roots)
-            starts = dstarts if starts is None else dict(starts)
         self.g = g
-        self.roots = tuple(roots)
-        self.starts = {q: (_halfedge_at(g, h, q) if isinstance(h, str) else h)
-                       for q, h in dict(starts).items()}
+        self.roots, self.starts = resolve_roots(g, roots, starts)
         self.system = LaplacianSystem(g)
         self.table = {}
         for forest in enumerate_forests(g):
@@ -336,19 +332,10 @@ class BernardiReducer:
 
 
 def reduce(g, D, q=None, e0=None):
-    """Unique sub-weighted tree equivalent to D, plus the chip-firing certificate."""
-    roots = None
-    starts = None
-    if q is not None:
-        droots, dstarts = default_roots(g)
-        comps = g.components()
-        roots = tuple(q if q in comp else droots[i]
-                      for i, comp in enumerate(comps))
-        starts = {r: dstarts[r] for r in roots if r in dstarts}
-        if e0 is not None:
-            starts[q] = e0
-        elif g.ribbon[q]:
-            starts[q] = g.ribbon[q][0]
+    """Unique sub-weighted tree equivalent to D, plus the chip-firing
+    certificate; q replaces its component's root, e0 is q's start."""
+    roots = None if q is None else (q,)
+    starts = None if e0 is None else {q: e0}
     return BernardiReducer(g, roots, starts).reduce(D)
 
 

@@ -231,7 +231,7 @@ def _build_parser():
     which.add_argument("--pic0", action="store_true")
     which.add_argument("--picb0", action="store_true")
 
-    p = add("count", _cmd_count, "tree-sum count of classes")
+    p = add("count", _cmd_count, "number of classes (reduced-Laplacian determinant)")
     p.add_argument("--graph", required=True)
     which = p.add_mutually_exclusive_group()
     which.add_argument("--pic0", action="store_true")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .bernardi import enumerate_subweightings
 from .divisors import Divisor, LaplacianSystem, degree, is_balanced
 from .errors import GraphInputError, PreconditionError
-from .graphs import VertexSplitMap, WeightedMultigraph, validate
+from .graphs import VertexSplitMap, WeightedMultigraph, is_int, validate
 from .picard import (enumerate_coset_representatives_bruteforce,
                      picb0_structure)
 from .trees import enumerate_forests
@@ -50,9 +50,11 @@ def dual_graph(f: SpecialFiberDescription) -> WeightedMultigraph:
     """
     index = dict(f.components)
     for comp, ind in f.components:
-        if not isinstance(ind, int) or ind < 1:
+        if not is_int(ind) or ind < 1:
             raise GraphInputError(f"component {comp!r} must have a positive index")
     for node, ends, deg in f.nodes:
+        if not is_int(deg) or deg < 1:
+            raise GraphInputError(f"node {node!r} must have a positive residue degree")
         for comp in set(ends):
             if comp not in index:
                 raise GraphInputError(f"node {node!r} touches unknown component {comp!r}")
@@ -65,8 +67,8 @@ def dual_graph(f: SpecialFiberDescription) -> WeightedMultigraph:
         [(node, ends) for node, ends, _ in f.nodes],
         vertex_weight=index,
         edge_weight={node: deg for node, _, deg in f.nodes})
-    report = validate(g)
-    assert report.pleasant
+    if not validate(g).pleasant:
+        raise AssertionError("dual graph of a checked fiber is not pleasant")
     return g
 
 
@@ -104,7 +106,8 @@ def psi_map(old_g, split: VertexSplitMap, D: Divisor) -> Divisor:
         copies = split.copies[v]
         c = D.coefficients.get(v, 0)
         r = len(copies)
-        assert c % r == 0  # r divides w(v) divides c
+        if c % r:  # r divides w(v), which divides c
+            raise AssertionError(f"{r} copies do not divide the coefficient {c} at {v!r}")
         for name in copies:
             out[name] = c // r
     return Divisor(out)
@@ -131,7 +134,8 @@ def check_base_change_injectivity(old_g, new_g, correspondence=None) -> Injectiv
     sys = LaplacianSystem(new_g)
     seen = {}
     for D_old, D_new in zip(reps, images):
-        assert degree(D_new) == 0
+        if degree(D_new) != 0:
+            raise AssertionError(f"base change moved {D_old} out of degree 0")
         key = sys.class_key(D_new)
         if key in seen:
             return InjectivityReport(False, len(reps), (seen[key], D_old))

@@ -17,6 +17,11 @@ from .errors import GraphInputError, PreconditionError
 HalfEdge = tuple[str, int]
 
 
+def is_int(x):
+    """An int that is not a bool (JSON's true/false load as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Edge:
     id: str
@@ -79,12 +84,12 @@ class WeightedMultigraph:
         for v, w in vw.items():
             if v not in vset:
                 raise GraphInputError(f"weight given for unknown vertex {v!r}")
-            if not isinstance(w, int) or w < 1:
+            if not is_int(w) or w < 1:
                 raise GraphInputError(f"vertex weight at {v!r} must be a positive integer")
         for eid, w in ew.items():
             if eid not in seen:
                 raise GraphInputError(f"weight given for unknown edge {eid!r}")
-            if not isinstance(w, int) or w < 1:
+            if not is_int(w) or w < 1:
                 raise GraphInputError(f"edge weight at {eid!r} must be a positive integer")
 
         if ribbon is None:
@@ -315,7 +320,7 @@ def split_edge(g, eid, parts):
     """Replace edge `eid` by parallel edges of the given weights (same total)."""
     e = g.edge(eid)
     parts = list(parts)
-    if not parts or any(not isinstance(p, int) or p < 1 for p in parts):
+    if not parts or any(not is_int(p) or p < 1 for p in parts):
         raise PreconditionError("parts must be positive integers")
     if sum(parts) != g.edge_weight[eid]:
         raise PreconditionError("parts must sum to the weight of the split edge")
@@ -357,7 +362,7 @@ def shrink_vertex_weight(g, v, new_weight):
     """Lower the weight at v to a divisor of the old weight."""
     if v not in g.vertices:
         raise GraphInputError(f"unknown vertex {v!r}")
-    if not isinstance(new_weight, int) or new_weight < 1 \
+    if not is_int(new_weight) or new_weight < 1 \
             or g.vertex_weight[v] % new_weight:
         raise PreconditionError("new weight must be a positive divisor of the old one")
     vw = dict(g.vertex_weight)
@@ -393,7 +398,7 @@ def split_vertex(g, v, r, plan: SplitPlan):
     """Split v into r copies of weight w(v)/r, redistributing edges per `plan`."""
     if v not in g.vertices:
         raise GraphInputError(f"unknown vertex {v!r}")
-    if not isinstance(r, int) or r < 1 or g.vertex_weight[v] % r:
+    if not is_int(r) or r < 1 or g.vertex_weight[v] % r:
         raise PreconditionError("number of copies must divide the vertex weight")
     if r == 1:
         return g, VertexSplitMap({u: (u,) for u in g.vertices},
@@ -446,7 +451,7 @@ def split_vertex(g, v, r, plan: SplitPlan):
                     ends = (new_names[ci], e.ends[1])
                 else:
                     ends = (e.ends[0], new_names[ci])
-            if not isinstance(w, int) or w < 1:
+            if not is_int(w) or w < 1:
                 raise PreconditionError("plan part weights must be positive integers")
             pieces.append((nid, ends, w))
         new_edges[e.id] = pieces

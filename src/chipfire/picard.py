@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import intlinalg, trees
+from . import intlinalg
 from .divisors import (Divisor, LaplacianSystem, reduced_laplacian,
                        require_pleasant)
 from .errors import PreconditionError
@@ -63,30 +63,19 @@ def _balanced_deg0_generators(g):
 
 
 def count_pic0(g) -> int:
-    """Sum over maximal spanning forests of the product of tree edge weights."""
-    total = 0
-    for forest in trees.enumerate_forests(g):
-        prod = 1
-        for eid in forest:
-            prod *= g.edge_weight[eid]
-        total += prod
-    return total
+    """|Pic0| as the determinant of the reduced Laplacian, which by the
+    weighted matrix-tree theorem equals the sum over maximal spanning
+    forests of the product of their edge weights (`selfcheck.tree_sum`)."""
+    return intlinalg.det(reduced_laplacian(g)[0])
 
 
 def count_picb0(g) -> int:
-    """Closed-form count of the balanced Jacobian (exact rationals)."""
+    """Closed-form count of the balanced Jacobian: |Pic0| times, per
+    component, the gcd of its vertex weights over their product."""
     require_pleasant(g, "the balanced count")
-    comps = g.components()
-    if len(comps) > 1:
-        out = 1
-        for c in comps:
-            out *= count_picb0(g.subgraph(c))
-        return out
-    weights = [g.vertex_weight[v] for v in g.vertices]
-    prod = 1
-    for w in weights:
-        prod *= w
-    val = Fraction(math.gcd(*weights), prod) * count_pic0(g)
+    gcds = math.prod(math.gcd(*(g.vertex_weight[v] for v in comp))
+                     for comp in g.components())
+    val = Fraction(gcds * count_pic0(g), math.prod(g.vertex_weight.values()))
     if val.denominator != 1:
         raise AssertionError(
             "balanced count came out non-integral; input was not pleasant")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .errors import GraphInputError
-from .graphs import WeightedMultigraph
+from .graphs import WeightedMultigraph, is_int
 from .divisors import Divisor, EquivalenceCertificate
 from .bernardi import SubweightedTree
 from .picard import AbelianGroupStructure
@@ -77,7 +77,7 @@ def divisor_from_obj(obj, key="coefficients") -> Divisor:
         coeffs = obj[key]
     except (KeyError, TypeError) as exc:
         raise GraphInputError(f"malformed divisor object: missing {key!r}") from exc
-    if not all(isinstance(c, int) for c in coeffs.values()):
+    if not isinstance(coeffs, dict) or not all(map(is_int, coeffs.values())):
         raise GraphInputError("divisor coefficients must be integers")
     return Divisor(dict(coeffs))
 
@@ -101,29 +101,20 @@ def tree_to_obj(g, ts: SubweightedTree):
 
 
 def tree_from_obj(g, obj) -> SubweightedTree:
-    try:
-        forest = tuple(obj["tree"])
-        sigma = dict(obj["sigma"])
-    except (KeyError, TypeError) as exc:
-        raise GraphInputError(f"malformed tree object: {exc}") from exc
-    edges_by_id = {e.id: e.ends for e in g.edges}
+    """The validated tree of a tree object.  "root" and "start" set one
+    component's root; "roots" and "starts" set several."""
+    shapes = {"tree": list, "sigma": dict, "roots": list, "starts": dict}
+    if (not isinstance(obj, dict) or "tree" not in obj or "sigma" not in obj
+            or any(not isinstance(obj[k], t) for k, t in shapes.items() if k in obj)
+            or isinstance(obj.get("root"), (list, dict))):
+        raise GraphInputError("malformed tree object: it needs a 'tree' list, a "
+                              "'sigma' object, and vertex ids as roots")
     if "roots" in obj:
-        roots = tuple(obj["roots"])
-        starts = {q: _halfedge_from_json(tok, q, edges_by_id)
-                  for q, tok in obj.get("starts", {}).items()}
+        roots, starts = obj["roots"], obj.get("starts")
     else:
-        from .bernardi import default_roots
-        droots, dstarts = default_roots(g)
-        roots, starts = droots, dstarts
-        if "root" in obj:
-            q = obj["root"]
-            comps = g.components()
-            roots = tuple(q if q in comp else droots[i]
-                          for i, comp in enumerate(comps))
-            starts = {r: dstarts[r] for r in roots if r in dstarts}
-            if "start" in obj:
-                starts[q] = _halfedge_from_json(obj["start"], q, edges_by_id)
-    return SubweightedTree(forest, sigma, roots, starts)
+        roots = [obj["root"]] if "root" in obj else None
+        starts = {obj.get("root"): obj["start"]} if "start" in obj else None
+    return SubweightedTree.build(g, obj["tree"], obj["sigma"], roots, starts)
 
 
 def group_to_obj(s: AbelianGroupStructure):

@@ -1,11 +1,11 @@
 import pytest
 
-from chipfire import (BernardiReducer, Divisor, PreconditionError,
-                      WeightedMultigraph, degree, enumerate_subweightings,
-                      enumerate_trees, equivalent, expand_hat,
-                      hat_tree_to_pair, is_balanced, laplacian,
-                      orientation_divisor, torsor_act, tour, tour_forest,
-                      tree_divisor, trivial_subweighting, weighted_genus)
+from chipfire import (BernardiReducer, Divisor, GraphInputError,
+                      PreconditionError, SubweightedTree, WeightedMultigraph,
+                      degree, enumerate_subweightings, enumerate_trees,
+                      equivalent, expand_hat, hat_tree_to_pair, is_balanced,
+                      laplacian, orientation_divisor, torsor_act, tour_forest,
+                      tree_divisor, weighted_genus)
 from chipfire.bernardi import hat_reference_shift, reduce as bernardi_reduce
 
 TW_ROOTS = (("v2",), {"v2": ("a", 1)})
@@ -20,31 +20,32 @@ def _tw_sub(tw, T, sigma):
 
 
 def test_tour_first_panel(triangle):
-    O = tour(triangle, ("a", "b"), q="v2", e0="a")
+    O = tour_forest(triangle, ("a", "b"), roots=("v2",), starts={"v2": "a"})
     assert O.direction == {"a": ("v2", "v1"), "b": ("v1", "v3"),
                            "c": ("v2", "v3")}
 
 
 def test_tour_third_panel(triangle):
-    O = tour(triangle, ("b", "c"), q="v2", e0="a")
+    O = tour_forest(triangle, ("b", "c"), roots=("v2",), starts={"v2": "a"})
     assert O.direction == {"a": ("v1", "v2"), "b": ("v3", "v1"),
                            "c": ("v2", "v3")}
 
 
 def test_tour_single_edge():
     g = WeightedMultigraph.build(["q", "v"], [("e", ("q", "v"))])
-    O = tour(g, ("e",), q="q")
+    O = tour_forest(g, ("e",), roots=("q",))
     assert O.direction == {"e": ("q", "v")}
 
 
 def test_tour_rejects_non_tree(triangle):
     with pytest.raises(PreconditionError):
-        tour(triangle, ("a",), q="v2")
+        tour_forest(triangle, ("a",), roots=("v2",))
 
 
 def test_orientation_divisors(triangle):
-    first = tour(triangle, ("a", "b"), q="v2", e0="a")
-    third = tour(triangle, ("b", "c"), q="v2", e0="a")
+    roots, starts = ("v2",), {"v2": "a"}
+    first = tour_forest(triangle, ("a", "b"), roots, starts)
+    third = tour_forest(triangle, ("b", "c"), roots, starts)
     assert orientation_divisor(triangle, first).vector(triangle) == [0, -1, 1]
     assert orientation_divisor(triangle, third).vector(triangle) == [0, 0, 0]
 
@@ -93,7 +94,8 @@ def test_tree_divisor_degree(tw, four_edge_pleasant):
 def test_loop_contributes_its_weight():
     g = WeightedMultigraph.build(["v"], [("l", ("v", "v"))],
                                  edge_weight={"l": 2})
-    ts = trivial_subweighting(g, ())
+    ts = SubweightedTree.build(g, ())
+    assert ts.sigma == {"l": 2} and ts.starts == {"v": ("l", 0)}
     assert tree_divisor(g, ts).vector(g) == [1]  # 2 - w(v)
     assert degree(tree_divisor(g, ts)) == weighted_genus(g) - 1
 
@@ -104,7 +106,7 @@ def test_hat_correspondence_tw(tw):
     pairs = set()
     for hatT in enumerate_trees(hat.graph):
         ts = hat_tree_to_pair(tw, hat, hatT)
-        pairs.add((ts.forest_edges, tuple(sorted(ts.sigma.items()))))
+        pairs.add(ts.key())
         DO = orientation_divisor(hat.graph, tour_forest(hat.graph, hatT))
         assert tree_divisor(tw, ts).vector(tw) == (DO - shift).vector(tw)
     assert len(pairs) == 8
@@ -173,7 +175,7 @@ def test_tour_covers_from_root(four_edge_pleasant):
     # the tour orientation lets every vertex be reached from the root
     g = four_edge_pleasant
     for T in enumerate_trees(g):
-        O = tour(g, T, q="v1")
+        O = tour_forest(g, T, roots=("v1",))
         reached = {"v1"}
         frontier = ["v1"]
         while frontier:
@@ -183,3 +185,48 @@ def test_tour_covers_from_root(four_edge_pleasant):
                     reached.add(head)
                     frontier.append(head)
         assert reached == set(g.vertices)
+
+
+def test_tour_forest_disconnected(triangle):
+    # two copies of the triangle; the second is toured from a non-default
+    # root and start, and matches touring it on its own
+    two = WeightedMultigraph.build(
+        [*triangle.vertices, "w1", "w2", "w3"],
+        [(e.id, e.ends) for e in triangle.edges]
+        + [("x", ("w1", "w2")), ("y", ("w1", "w3")), ("z", ("w2", "w3"))])
+    O = tour_forest(two, ("a", "b", "x", "z"), roots=("w2",),
+                    starts={"w2": "z"})
+    alone = two.subgraph(("w1", "w2", "w3"))
+    assert O.direction == {
+        **tour_forest(triangle, ("a", "b")).direction,
+        **tour_forest(alone, ("x", "z"), ("w2",), {"w2": "z"}).direction}
+    assert O.direction["z"] == ("w2", "w3")
+    with pytest.raises(PreconditionError):
+        tour_forest(two, ("a", "b", "x"))
+
+
+def test_build_orders_forest_and_resolves_start(tw):
+    ts = SubweightedTree.build(tw, ("b", "a"), roots=("v2",),
+                               starts={"v2": "c"})
+    assert ts.forest_edges == ("a", "b") and ts.sigma == tw.edge_weight
+    assert ts.roots == ("v2",) and ts.starts == {"v2": ("c", 0)}
+    assert ts.key() == SubweightedTree(
+        ("a", "b"), {"c": 1, "b": 2, "a": 2}, (), {}).key()
+
+
+@pytest.mark.parametrize("forest, sigma, roots, starts", [
+    (("a", "zz"), None, None, None),             # unknown edge
+    (("a", "a"), None, None, None),              # repeated edge
+    (("a",), None, None, None),                  # not spanning
+    (("a", "b"), {"a": 2, "b": 2}, None, None),  # sigma misses an edge
+    (("a", "b"), {"a": 3, "b": 2, "c": 1}, None, None),  # sigma > w
+    (("a", "b"), {"a": 2, "b": 2, "c": 2}, None, None),  # off-forest != w
+    (("a", "b"), {"a": True, "b": 2, "c": 1}, None, None),  # bool sigma
+    (("a", "b"), None, ("zz",), None),           # unknown root
+    (("a", "b"), None, ("v1", "v2"), None),      # two roots in one component
+    (("a", "b"), None, ("v2",), {"v2": "b"}),    # start not at the root
+    (("a", "b"), None, None, {"v2": "a"}),       # start at a non-root
+])
+def test_build_rejects(tw, forest, sigma, roots, starts):
+    with pytest.raises(GraphInputError):
+        SubweightedTree.build(tw, forest, sigma, roots, starts)

@@ -160,6 +160,59 @@ def test_exit_codes(tw_file, tmp_path, capsys):
     assert code == 1
 
 
+TREE = {"tree": ["a", "b"], "sigma": {"a": 2, "b": 2, "c": 1}, "root": "v2",
+        "start": "a"}
+ZERO = {"coefficients": {"v1": 0, "v2": 0, "v3": 0}}
+DEGREE_1 = {"coefficients": {"v1": 1, "v2": 0, "v3": 0}}
+TRUE_WEIGHT = {**TW_OBJ, "vertices": [{"id": "v1", "weight": 2},
+                                      {"id": "v2", "weight": True},
+                                      {"id": "v3"}]}
+
+
+def _act(tree, id, graph=TW_OBJ):
+    files = {"--graph": graph, "--divisor": ZERO, "--tree": tree}
+    return pytest.param("act", files, [], id=id)
+
+
+def _reduce(extra, id, divisor=DEGREE_1):
+    files = {"--graph": TW_OBJ, "--divisor": divisor}
+    return pytest.param("reduce", files, extra, id=id)
+
+
+@pytest.mark.parametrize("command, files, extra", [
+    _act({**TREE, "sigma": {"a": 2, "b": 2}}, "sigma-missing"),
+    _act({**TREE, "sigma": {"a": 3, "b": 2, "c": 1}}, "sigma-above-w"),
+    _act({**TREE, "sigma": {"a": 2, "b": 2, "c": 2}}, "sigma-off-forest"),
+    _act({**TREE, "sigma": {"a": True, "b": 2, "c": 1}}, "sigma-true"),
+    _act({"tree": ["a", "b"], "sigma": TREE["sigma"], "root": "zz"},
+         "root-unknown"),
+    _act({**TREE, "start": "b"}, "start-not-at-root"),
+    _act({"tree": ["a", "b"], "sigma": TREE["sigma"], "roots": ["zz"]},
+         "roots-unknown"),
+    _act({"tree": ["a", "b"], "sigma": TREE["sigma"], "roots": ["v1", "v2"]},
+         "roots-share-component"),
+    _act({**TREE, "tree": ["a", "zz"]}, "tree-unknown-edge"),
+    _act({**TREE, "tree": "ab"}, "tree-string"),
+    _act({**TREE, "tree": ["a"]}, "tree-not-spanning"),
+    _act(TREE, "weight-true", graph=TRUE_WEIGHT),
+    _reduce(["--root", "zz"], "reduce-root-unknown"),
+    _reduce(["--root", "v2", "--start", "b"], "reduce-start-not-at-root"),
+    _reduce([], "divisor-true",
+            divisor={"coefficients": {"v1": True, "v2": 0, "v3": 0}}),
+    pytest.param("fiber", {"--fiber": {
+        "components": [{"id": "C"}],
+        "nodes": [{"id": "p", "ends": ["C", "C"], "degree": "x"}]}}, [],
+        id="fiber-degree-string"),
+])
+def test_malformed_input_exits_1(tmp_path, capsys, command, files, extra):
+    argv = [command]
+    for k, (flag, obj) in enumerate(files.items()):
+        argv += [flag, _write(tmp_path, f"in{k}.json", obj)]
+    code, out, err = _run(capsys, *argv, *extra)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_graph_json_round_trip(tw_file):
     g = serialize.graph_from_obj(TW_OBJ)
     assert serialize.graph_from_obj(serialize.graph_to_obj(g)) == g

@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -127,3 +129,13 @@ def test_certificate_checks_survive_optimize(tw, tmp_path):
         capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["equivalent raised", "reduce exit 2"]
+
+
+def test_no_bare_assert_in_src():
+    # `python -O` strips assert statements, so no check may rely on one
+    package = pathlib.Path(__file__).parent.parent / "src" / "chipfire"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

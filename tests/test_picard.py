@@ -8,6 +8,7 @@ from chipfire import (Divisor, LaplacianSystem, PreconditionError,
                       enumerate_coset_representatives_bruteforce, equivalent,
                       is_balanced, laplacian, pic0_structure, picb0_structure)
 from chipfire import intlinalg
+from chipfire.selfcheck import tree_sum
 
 
 def test_pic0_structure(triangle, tw):
@@ -40,6 +41,9 @@ def test_counts(triangle, tw, four_edge_pleasant):
     assert count_picb0(tw) == 4
     assert count_picb0(triangle) == count_pic0(triangle)
     assert count_picb0(four_edge_pleasant) == 8
+    single = WeightedMultigraph.build(["v"], [], {"v": 3})
+    for g in (tw, triangle, four_edge_pleasant, single):
+        assert tree_sum(g) == count_pic0(g)
 
 
 def test_bruteforce_balanced_degree1(tw):
@@ -75,6 +79,7 @@ def test_disconnected_direct_sum(tw):
     assert pic0_structure(two).order == 8 * 3
     assert picb0_structure(two).order == 4 * 3
     assert count_pic0(two) == 24 and count_picb0(two) == 12
+    assert tree_sum(two) == 24
 
 
 def _graph_from_laplacian(L):
@@ -114,7 +119,7 @@ def test_random_pleasant_graphs():
         L = g.laplacian_matrix()
         det = intlinalg.det([row[1:] for row in L[1:]])
         weights = [g.vertex_weight[v] for v in g.vertices]
-        assert pic0_structure(g).order == det
+        assert pic0_structure(g).order == count_pic0(g) == det
         assert (picb0_structure(g).order * math.prod(weights)
                 == det * math.gcd(*weights))
         f = {v: rng.randint(-3, 3) for v in g.vertices}
