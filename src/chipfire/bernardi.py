@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add, sub
 
 from .divisors import Divisor, LaplacianSystem, degree
 from .errors import GraphInputError, PreconditionError
@@ -182,12 +183,18 @@ def tour_forest(g, forest, roots=None, starts=None):
         raise PreconditionError(
             "forest must restrict to a spanning tree on each component")
     _, starts = resolve_roots(g, roots, starts)
+    return Orientation(_orient(g, forest, starts))
+
+
+def _orient(g, forest, starts):
+    """Edge id -> (tail, head) from touring a checked maximal forest from
+    resolved starts."""
     machine = _machine(g)
     tree_ids = set(forest)
     direction = {}
     for e0 in starts.values():
         direction.update(machine.run(tree_ids, e0))
-    return Orientation(direction)
+    return direction
 
 
 def orientation_divisor(g, O: Orientation) -> Divisor:
@@ -201,43 +208,80 @@ def orientation_divisor(g, O: Orientation) -> Divisor:
     return Divisor({v: indeg[v] - 1 for v in g.vertices})
 
 
-def _sigma_is_balanced(g, orient, sigma):
-    for v in g.vertices:
-        w = g.vertex_weight[v]
-        if w == 1:
+def _affine_tree_divisor(g, forest, starts):
+    """One tour of a checked maximal forest, in declaration order, from
+    resolved starts: the vector of D_{T,sigma} at sigma = 1 on the forest,
+    and per forest edge the vertex indices (head, tail) of its step
+    e_head - e_tail, which D_{T,sigma} gains per unit of sigma there."""
+    orient = _orient(g, forest, starts)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    in_forest = set(forest)
+    vec = [-g.vertex_weight[v] for v in g.vertices]
+    for e in g.edges:
+        w = g.edge_weight[e.id]
+        if e.is_loop:
+            vec[index[e.ends[0]]] += w
             continue
-        signed = 0
-        for e in g.edges:
-            if e.is_loop:
-                continue
-            tail, head = orient[e.id]
-            if head == v:
-                signed += sigma[e.id]
-            elif tail == v:
-                signed -= sigma[e.id]
-        if signed % w:
-            return False
-    return True
+        tail, head = orient[e.id]
+        s = 1 if e.id in in_forest else w
+        vec[index[head]] += s
+        vec[index[tail]] += w - s
+    steps = [(index[orient[eid][1]], index[orient[eid][0]]) for eid in forest]
+    return vec, steps
+
+
+def _sigmas(g, forest):
+    """Every sub-weighting of the forest, in sigma-lexicographic order."""
+    for combo in itertools.product(*(range(1, g.edge_weight[eid] + 1)
+                                     for eid in forest)):
+        yield {**g.edge_weight, **dict(zip(forest, combo))}
+
+
+def _residue_family(base, diffs, counts, moduli):
+    """base + sum_k j_k diffs[k], reduced coordinatewise modulo moduli, for
+    every j with 0 <= j_k < counts[k], in the order of `itertools.product`
+    (the first coordinate varies slowest)."""
+    vecs = [tuple(c % m for c, m in zip(base, moduli))]
+    for diff, count in zip(diffs, counts):
+        out = []
+        for vec in vecs:
+            out.append(vec)
+            for _ in range(count - 1):
+                vec = tuple([(c + d) % m for c, d, m in zip(vec, diff, moduli)])
+                out.append(vec)
+        vecs = out
+    return vecs
 
 
 def enumerate_subweightings(g, T, balanced_only=False, roots=None, starts=None):
-    """All edge sub-weightings of the forest T, in sigma-lexicographic order."""
+    """All edge sub-weightings of the forest T, in sigma-lexicographic order.
+
+    With balanced_only, only those whose tree divisor is balanced.  The
+    forest is toured once: D_{T,sigma} is affine in sigma, so its residues
+    at the vertices of weight > 1 come from the divisor at sigma = 1 and
+    the per-edge steps, with no tour or divisor per sigma.
+    """
     base = SubweightedTree.build(g, T, roots=roots, starts=starts)
     forest = base.forest_edges
-    orient = tour_forest(g, forest, base.roots, base.starts).direction
-    ranges = [range(1, g.edge_weight[eid] + 1) for eid in forest]
-    out = []
-    for combo in itertools.product(*ranges):
-        sigma = dict(base.sigma)
-        sigma.update(zip(forest, combo))
-        if balanced_only and not _sigma_is_balanced(g, orient, sigma):
-            continue
-        out.append(SubweightedTree(forest, sigma, base.roots, base.starts))
-    return out
+    sigmas = _sigmas(g, forest)
+    if balanced_only:
+        vec, steps = _affine_tree_divisor(g, forest, base.starts)
+        heavy = [i for i, v in enumerate(g.vertices) if g.vertex_weight[v] > 1]
+        diffs = [tuple((i == head) - (i == tail) for i in heavy)
+                 for head, tail in steps]
+        residues = _residue_family(
+            [vec[i] for i in heavy], diffs,
+            [g.edge_weight[eid] for eid in forest],
+            [g.vertex_weight[g.vertices[i]] for i in heavy])
+        sigmas = itertools.compress(sigmas, [not any(r) for r in residues])
+    return [SubweightedTree(forest, sigma, base.roots, base.starts)
+            for sigma in sigmas]
 
 
 def tree_divisor(g, ts: SubweightedTree) -> Divisor:
-    """The degree g-1 divisor attached to a sub-weighted forest."""
+    """The degree g-1 divisor attached to a sub-weighted forest: the
+    per-tree path, with its own tour (`enumerate_subweightings` and
+    `BernardiReducer` tour each forest once for all its sigma)."""
     orient = tour_forest(g, ts.forest_edges, ts.roots, ts.starts).direction
     out = {v: -g.vertex_weight[v] for v in g.vertices}
     for e in g.edges:
@@ -294,22 +338,38 @@ def hat_reference_shift(g) -> Divisor:
 
 class BernardiReducer:
     """Precomputed table mapping every chip-firing class of per-component
-    degree genus-1 to its unique sub-weighted forest representative."""
+    degree genus-1 to its unique sub-weighted forest representative.
+
+    Each forest is toured once.  D_{T,sigma} is affine in sigma and the
+    key part X D_r mod e (see `LaplacianSystem`) is linear, so the keys of
+    all sub-weightings of a forest are the key at sigma = 1 plus, per
+    forest edge, sigma - 1 times the key of its step; no tree divisor is
+    formed per sigma (`tree_divisor` is the per-tree path).
+    """
 
     def __init__(self, g, roots=None, starts=None):
         self.g = g
         self.roots, self.starts = resolve_roots(g, roots, starts)
-        self.system = LaplacianSystem(g)
+        system = self.system = LaplacianSystem(g)
+        unit = [system.vector_key([int(i == j) for j in range(g.n)])[1]
+                for i in range(g.n)]
+        moduli = [system.e] * len(system.keep)
         self.table = {}
         for forest in enumerate_forests(g):
-            for ts in enumerate_subweightings(g, forest, roots=self.roots,
-                                              starts=self.starts):
-                key = self.system.class_key(tree_divisor(g, ts))
+            vec, steps = _affine_tree_divisor(g, forest, self.starts)
+            degrees, y1 = system.vector_key(vec)
+            diffs = [tuple(map(sub, unit[head], unit[tail]))
+                     for head, tail in steps]
+            counts = [g.edge_weight[eid] for eid in forest]
+            for sigma, y in zip(_sigmas(g, forest),
+                                _residue_family(y1, diffs, counts, moduli)):
+                key = degrees, y
                 if key in self.table:
                     raise AssertionError(
                         "two sub-weighted forests landed in one class; "
                         "completeness is violated")
-                self.table[key] = ts
+                self.table[key] = SubweightedTree(forest, sigma, self.roots,
+                                                  self.starts)
 
     def reduce(self, D: Divisor):
         g = self.g

@@ -69,8 +69,14 @@ class WeightedMultigraph:
             if eid in seen:
                 raise GraphInputError(f"duplicate edge id {eid!r}")
             seen.add(eid)
+            if len(ends) != 2:
+                raise GraphInputError(f"edge {eid!r} must have exactly two ends")
             u, v = ends
-            if u not in vset or v not in vset:
+            try:
+                known = u in vset and v in vset
+            except TypeError:  # an unhashable end, as a JSON file may hold
+                known = False
+            if not known:
                 raise GraphInputError(f"edge {eid!r} has unknown endpoint")
             edge_objs.append(Edge(eid, (u, v)))
         edge_objs = tuple(edge_objs)

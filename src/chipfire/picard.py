@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -116,14 +117,14 @@ def enumerate_coset_representatives_bruteforce(g, d, balanced_only=False):
             gens.append(col)
     sys = LaplacianSystem(g)
     start = tuple(base.vector(g))
-    seen = {sys.class_key(base): start}
-    queue = [start]
+    seen = {sys.vector_key(start): start}
+    queue = deque([start])
     while queue:
-        cur = queue.pop(0)
+        cur = queue.popleft()
         for gen in gens:
             for sgn in (1, -1):
                 nxt = tuple(c + sgn * x for c, x in zip(cur, gen))
-                key = sys.class_key(Divisor.from_vector(g, list(nxt)))
+                key = sys.vector_key(nxt)
                 if key not in seen:
                     seen[key] = nxt
                     queue.append(nxt)

@@ -213,8 +213,13 @@ def sweep_family(family=None, on_progress=None) -> dict:
                 f"{len(reducer.table)} representatives vs count {count}")
         gm1 = weighted_genus(g) - 1
         balanced_ts = []
-        for ts in reducer.table.values():
+        for key, ts in reducer.table.items():
+            # the table's keys come from one tour and affine steps per
+            # forest; a tour per tree must give the same class
             D = bernardi.tree_divisor(g, ts)
+            if reducer.system.class_key(D) != key:
+                bad("completeness", g, f"table key of {ts.key()} is not the "
+                                       "class of its tree divisor")
             if degree(D) != gm1:
                 bad("completeness", g, f"tree divisor degree {degree(D)} != {gm1}")
             if is_balanced(g, D):

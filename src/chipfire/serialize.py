@@ -21,14 +21,15 @@ def _halfedge_to_json(g, h):
 
 
 def _halfedge_from_json(token, at_vertex, edges_by_id):
-    if ":" in token:
+    if isinstance(token, str) and ":" in token:
         eid, side = token.rsplit(":", 1)
         if eid in edges_by_id and side in ("0", "1"):
             return (eid, int(side))
     eid = token
-    if eid not in edges_by_id:
-        raise GraphInputError(f"ribbon mentions unknown edge {token!r}")
-    ends = edges_by_id[eid]
+    try:
+        ends = edges_by_id[eid]
+    except (KeyError, TypeError):  # TypeError: an unhashable token
+        raise GraphInputError(f"ribbon mentions unknown edge {token!r}") from None
     if ends[0] == ends[1]:
         raise GraphInputError(
             f"loop {eid!r} must appear in the ribbon as '{eid}:0' and '{eid}:1'")
@@ -53,17 +54,25 @@ def graph_from_obj(obj) -> WeightedMultigraph:
     try:
         vertices = [v["id"] for v in obj["vertices"]]
         vw = {v["id"]: v.get("weight", 1) for v in obj["vertices"]}
-        edges = [(e["id"], tuple(e["ends"])) for e in obj["edges"]]
+        edges = [(e["id"], e["ends"]) for e in obj["edges"]]
         ew = {e["id"]: e.get("weight", 1) for e in obj["edges"]}
     except (KeyError, TypeError) as exc:
         raise GraphInputError(f"malformed graph object: {exc}") from exc
-    ribbon = None
-    if obj.get("ribbon"):
+    for eid, ends in edges:
+        if not isinstance(ends, list) or len(ends) != 2:
+            raise GraphInputError(f"edge {eid!r} needs a list of two ends")
+    edges = [(eid, tuple(ends)) for eid, ends in edges]
+    ribbon = obj.get("ribbon")
+    if ribbon is not None and not (
+            isinstance(ribbon, dict)
+            and all(isinstance(tokens, list) for tokens in ribbon.values())):
+        raise GraphInputError("ribbon must map vertex ids to lists of half-edges")
+    if ribbon:
         edges_by_id = dict(edges)
         ribbon = {
             v: tuple(_halfedge_from_json(tok, v, edges_by_id)
                      for tok in tokens)
-            for v, tokens in obj["ribbon"].items()
+            for v, tokens in ribbon.items()
         }
     return WeightedMultigraph.build(vertices, edges, vw, ew, ribbon)
 

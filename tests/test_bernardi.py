@@ -1,8 +1,13 @@
+import itertools
+import math
+import random
+
 import pytest
 
 from chipfire import (BernardiReducer, Divisor, GraphInputError,
                       PreconditionError, SubweightedTree, WeightedMultigraph,
-                      degree, enumerate_subweightings, enumerate_trees,
+                      degree, enumerate_forests, enumerate_subweightings,
+                      enumerate_trees,
                       equivalent, expand_hat, hat_tree_to_pair, is_balanced,
                       laplacian, orientation_divisor, torsor_act, tour_forest,
                       tree_divisor, weighted_genus)
@@ -230,3 +235,54 @@ def test_build_orders_forest_and_resolves_start(tw):
 def test_build_rejects(tw, forest, sigma, roots, starts):
     with pytest.raises(GraphInputError):
         SubweightedTree.build(tw, forest, sigma, roots, starts)
+
+
+def _random_pleasant(rng, n, parts=1):
+    """Random pleasant graph: per part a random tree plus two more edges,
+    and one loop; edge weights are multiples of the lcm of their ends."""
+    vertices = [f"u{i}" for i in range(n)]
+    vw = {v: rng.choice((1, 1, 2, 3)) for v in vertices}
+    pairs = []
+    for vs in (vertices[k::parts] for k in range(parts)):
+        pairs += [(vs[i], vs[rng.randrange(i)]) for i in range(1, len(vs))]
+        pairs += [tuple(rng.sample(vs, 2)) for _ in range(2)]
+    v = rng.choice(vertices)
+    pairs.append((v, v))
+    edges = [(f"e{k}", p) for k, p in enumerate(pairs)]
+    ew = {eid: math.lcm(vw[a], vw[b]) * rng.choice((1, 1, 2))
+          for eid, (a, b) in edges}
+    return WeightedMultigraph.build(vertices, edges, vw, ew)
+
+
+def _random_pleasant_graphs():
+    rng = random.Random(1)
+    return ([_random_pleasant(rng, n) for n in range(4, 8)]
+            + [_random_pleasant(rng, 6, parts=2)])
+
+
+@pytest.mark.parametrize("g", _random_pleasant_graphs(),
+                         ids=["n4", "n5", "n6", "n7", "n6-two-parts"])
+def test_affine_sigma_path_matches_per_tree_path(g):
+    # a non-default root, with a non-default start, in one component
+    q = g.vertices[-1]
+    roots, starts = (q,), {q: g.ribbon[q][-1]}
+    reducer = BernardiReducer(g, roots, starts)
+    everything = []
+    for forest in enumerate_forests(g):
+        subs = enumerate_subweightings(g, forest, roots=roots, starts=starts)
+        plain = [{**g.edge_weight, **dict(zip(forest, combo))}
+                 for combo in itertools.product(
+                     *(range(1, g.edge_weight[e] + 1) for e in forest))]
+        assert [ts.sigma for ts in subs] == plain
+        assert all(ts.forest_edges == forest and ts.roots == reducer.roots
+                   and ts.starts == reducer.starts for ts in subs)
+        balanced = enumerate_subweightings(g, forest, balanced_only=True,
+                                           roots=roots, starts=starts)
+        assert balanced == [ts for ts in subs
+                            if is_balanced(g, tree_divisor(g, ts))]
+        everything += subs
+    assert list(reducer.table.values()) == everything
+    for key, ts in reducer.table.items():
+        assert reducer.system.class_key(tree_divisor(g, ts)) == key
+    for ts in random.Random(2).sample(everything, 20):
+        assert reducer.reduce(tree_divisor(g, ts))[0] == ts

@@ -179,6 +179,13 @@ def _reduce(extra, id, divisor=DEGREE_1):
     return pytest.param("reduce", files, extra, id=id)
 
 
+def _group(graph, id):
+    return pytest.param("group", {"--graph": graph}, [], id=id)
+
+
+TW_RIBBON = {"v1": ["a", "b"], "v2": ["a", "c"], "v3": ["b", "c"]}
+
+
 @pytest.mark.parametrize("command, files, extra", [
     _act({**TREE, "sigma": {"a": 2, "b": 2}}, "sigma-missing"),
     _act({**TREE, "sigma": {"a": 3, "b": 2, "c": 1}}, "sigma-above-w"),
@@ -199,6 +206,11 @@ def _reduce(extra, id, divisor=DEGREE_1):
     _reduce(["--root", "v2", "--start", "b"], "reduce-start-not-at-root"),
     _reduce([], "divisor-true",
             divisor={"coefficients": {"v1": True, "v2": 0, "v3": 0}}),
+    _group({**TW_OBJ, "ribbon": [TW_RIBBON["v1"]]}, "ribbon-list"),
+    _group({**TW_OBJ, "ribbon": {**TW_RIBBON, "v1": [1, "b"]}}, "ribbon-token-int"),
+    _group({**TW_OBJ, "edges": [{"id": "a", "ends": ["v1"]}]}, "ends-one"),
+    _group({**TW_OBJ, "edges": [{"id": "a", "ends": ["v1", "v2", "v3"]}]},
+           "ends-three"),
     pytest.param("fiber", {"--fiber": {
         "components": [{"id": "C"}],
         "nodes": [{"id": "p", "ends": ["C", "C"], "degree": "x"}]}}, [],
