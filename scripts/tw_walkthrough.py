@@ -5,7 +5,6 @@ genus, group structures, sub-weighted trees, reduction, and the torsor."""
 from chipfire import (Divisor, count_pic0, count_picb0, enumerate_subweightings,
                       enumerate_trees, pic0_structure, picb0_structure,
                       torsor_act, tree_divisor, weighted_genus)
-from chipfire.bernardi import BernardiReducer
 from chipfire.selfcheck import triangle_tw, tw_roots
 
 
@@ -30,12 +29,11 @@ def main():
             D = tree_divisor(g, ts)
             print(f"  sigma {ts.sigma} -> divisor {D.coefficients}{mark}")
     print()
-    reducer = BernardiReducer(g, roots, starts)
     D0 = Divisor({"v1": 2, "v2": -1, "v3": -1})
-    ts0 = next(ts for ts in reducer.table.values()
-               if ts.forest_edges == ("a", "b")
-               and ts.sigma["a"] == 2 and ts.sigma["b"] == 2)
-    moved = torsor_act(g, D0, ts0, reducer)
+    ts0 = next(ts for ts in enumerate_subweightings(g, ("a", "b"), roots=roots,
+                                                    starts=starts)
+               if ts.sigma["a"] == 2 and ts.sigma["b"] == 2)
+    moved = torsor_act(g, D0, ts0)
     print(f"torsor: {D0.coefficients} moves tree {ts0.forest_edges} "
           f"to {moved.forest_edges} with sigma {moved.sigma}")
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add, sub
+from operator import sub
 
-from .divisors import Divisor, LaplacianSystem, degree
+from .divisors import (Divisor, EquivalenceCertificate, LaplacianSystem,
+                       degree)
 from .errors import GraphInputError, PreconditionError
 from .graphs import WeightedMultigraph, is_int, weighted_genus
 from .trees import enumerate_forests, is_maximal_forest
@@ -208,11 +209,14 @@ def orientation_divisor(g, O: Orientation) -> Divisor:
     return Divisor({v: indeg[v] - 1 for v in g.vertices})
 
 
-def _affine_tree_divisor(g, forest, starts):
-    """One tour of a checked maximal forest, in declaration order, from
-    resolved starts: the vector of D_{T,sigma} at sigma = 1 on the forest,
-    and per forest edge the vertex indices (head, tail) of its step
-    e_head - e_tail, which D_{T,sigma} gains per unit of sigma there."""
+def _affine_residues(g, forest, starts, cols, moduli):
+    """Tour a checked maximal forest, in declaration order, once from
+    resolved starts.  Returns the vector of D_{T,sigma} at sigma = 1 and,
+    for every sigma in sigma-lexicographic order, the residues of
+    sum_v D_{T,sigma}(v) cols[v] modulo moduli (cols in vertex order).
+    D_{T,sigma} gains e_head - e_tail per unit of sigma on a forest edge,
+    so each sub-weighting costs one new residue tuple, no tour or divisor.
+    """
     orient = _orient(g, forest, starts)
     index = {v: i for i, v in enumerate(g.vertices)}
     in_forest = set(forest)
@@ -226,62 +230,69 @@ def _affine_tree_divisor(g, forest, starts):
         s = 1 if e.id in in_forest else w
         vec[index[head]] += s
         vec[index[tail]] += w - s
-    steps = [(index[orient[eid][1]], index[orient[eid][0]]) for eid in forest]
-    return vec, steps
-
-
-def _sigmas(g, forest):
-    """Every sub-weighting of the forest, in sigma-lexicographic order."""
-    for combo in itertools.product(*(range(1, g.edge_weight[eid] + 1)
-                                     for eid in forest)):
-        yield {**g.edge_weight, **dict(zip(forest, combo))}
-
-
-def _residue_family(base, diffs, counts, moduli):
-    """base + sum_k j_k diffs[k], reduced coordinatewise modulo moduli, for
-    every j with 0 <= j_k < counts[k], in the order of `itertools.product`
-    (the first coordinate varies slowest)."""
-    vecs = [tuple(c % m for c, m in zip(base, moduli))]
-    for diff, count in zip(diffs, counts):
+    residues = [tuple(sum(c * col[j] for c, col in zip(vec, cols)) % m
+                      for j, m in enumerate(moduli))]
+    for eid in forest:
+        tail, head = orient[eid]
+        diff = list(map(sub, cols[index[head]], cols[index[tail]]))
         out = []
-        for vec in vecs:
-            out.append(vec)
-            for _ in range(count - 1):
-                vec = tuple([(c + d) % m for c, d, m in zip(vec, diff, moduli)])
-                out.append(vec)
-        vecs = out
-    return vecs
+        for r in residues:
+            out.append(r)
+            for _ in range(g.edge_weight[eid] - 1):
+                r = tuple([(c + d) % m for c, d, m in zip(r, diff, moduli)])
+                out.append(r)
+        residues = out
+    return vec, residues
+
+
+def _with_sigma(g, forest, combo, roots, starts):
+    return SubweightedTree(forest, {**g.edge_weight, **dict(zip(forest, combo))},
+                           roots, starts)
 
 
 def enumerate_subweightings(g, T, balanced_only=False, roots=None, starts=None):
     """All edge sub-weightings of the forest T, in sigma-lexicographic order.
 
-    With balanced_only, only those whose tree divisor is balanced.  The
-    forest is toured once: D_{T,sigma} is affine in sigma, so its residues
-    at the vertices of weight > 1 come from the divisor at sigma = 1 and
-    the per-edge steps, with no tour or divisor per sigma.
+    With balanced_only, only those whose tree divisor is balanced: the
+    residues of D_{T,sigma} at the vertices of weight > 1, modulo their
+    weights, come from one tour (`_affine_residues`).
     """
     base = SubweightedTree.build(g, T, roots=roots, starts=starts)
     forest = base.forest_edges
-    sigmas = _sigmas(g, forest)
+    combos = itertools.product(*(range(1, g.edge_weight[eid] + 1)
+                                 for eid in forest))
     if balanced_only:
-        vec, steps = _affine_tree_divisor(g, forest, base.starts)
-        heavy = [i for i, v in enumerate(g.vertices) if g.vertex_weight[v] > 1]
-        diffs = [tuple((i == head) - (i == tail) for i in heavy)
-                 for head, tail in steps]
-        residues = _residue_family(
-            [vec[i] for i in heavy], diffs,
-            [g.edge_weight[eid] for eid in forest],
-            [g.vertex_weight[g.vertices[i]] for i in heavy])
-        sigmas = itertools.compress(sigmas, [not any(r) for r in residues])
-    return [SubweightedTree(forest, sigma, base.roots, base.starts)
-            for sigma in sigmas]
+        heavy = [v for v in g.vertices if g.vertex_weight[v] > 1]
+        cols = [tuple(int(v == h) for h in heavy) for v in g.vertices]
+        _, residues = _affine_residues(g, forest, base.starts, cols,
+                                       [g.vertex_weight[h] for h in heavy])
+        combos = itertools.compress(combos, [not any(r) for r in residues])
+    return [_with_sigma(g, forest, combo, base.roots, base.starts)
+            for combo in combos]
+
+
+def _keyed_subweightings(g, system, starts):
+    """(class key, forest, sigma on the forest) of every sub-weighted
+    maximal forest, in (forest, sigma)-lexicographic order, toured from
+    resolved starts.  `system` is g's LaplacianSystem; its key part
+    X D_r mod e is linear in D, so it is a residue of D against the keys of
+    the unit divisors."""
+    unit = [system.vector_key([int(i == j) for j in range(g.n)])[1]
+            for i in range(g.n)]
+    moduli = [system.e] * len(system.keep)
+    for forest in enumerate_forests(g):
+        vec, residues = _affine_residues(g, forest, starts, unit, moduli)
+        degrees = system.vector_key(vec)[0]
+        combos = itertools.product(*(range(1, g.edge_weight[eid] + 1)
+                                     for eid in forest))
+        for y, combo in zip(residues, combos):
+            yield (degrees, y), forest, combo
 
 
 def tree_divisor(g, ts: SubweightedTree) -> Divisor:
     """The degree g-1 divisor attached to a sub-weighted forest: the
     per-tree path, with its own tour (`enumerate_subweightings` and
-    `BernardiReducer` tour each forest once for all its sigma)."""
+    `reduce` tour each forest once for all its sigma)."""
     orient = tour_forest(g, ts.forest_edges, ts.roots, ts.starts).direction
     out = {v: -g.vertex_weight[v] for v in g.vertices}
     for e in g.edges:
@@ -336,74 +347,52 @@ def hat_reference_shift(g) -> Divisor:
 # -- reduction and torsor action ------------------------------------------
 
 
-class BernardiReducer:
-    """Precomputed table mapping every chip-firing class of per-component
-    degree genus-1 to its unique sub-weighted forest representative.
-
-    Each forest is toured once.  D_{T,sigma} is affine in sigma and the
-    key part X D_r mod e (see `LaplacianSystem`) is linear, so the keys of
-    all sub-weightings of a forest are the key at sigma = 1 plus, per
-    forest edge, sigma - 1 times the key of its step; no tree divisor is
-    formed per sigma (`tree_divisor` is the per-tree path).
-    """
-
-    def __init__(self, g, roots=None, starts=None):
-        self.g = g
-        self.roots, self.starts = resolve_roots(g, roots, starts)
-        system = self.system = LaplacianSystem(g)
-        unit = [system.vector_key([int(i == j) for j in range(g.n)])[1]
-                for i in range(g.n)]
-        moduli = [system.e] * len(system.keep)
-        self.table = {}
-        for forest in enumerate_forests(g):
-            vec, steps = _affine_tree_divisor(g, forest, self.starts)
-            degrees, y1 = system.vector_key(vec)
-            diffs = [tuple(map(sub, unit[head], unit[tail]))
-                     for head, tail in steps]
-            counts = [g.edge_weight[eid] for eid in forest]
-            for sigma, y in zip(_sigmas(g, forest),
-                                _residue_family(y1, diffs, counts, moduli)):
-                key = degrees, y
-                if key in self.table:
-                    raise AssertionError(
-                        "two sub-weighted forests landed in one class; "
-                        "completeness is violated")
-                self.table[key] = SubweightedTree(forest, sigma, self.roots,
-                                                  self.starts)
-
-    def reduce(self, D: Divisor):
-        g = self.g
-        gtotal = weighted_genus(g)
-        if len(g.components()) == 1 and degree(D) != gtotal - 1:
-            raise PreconditionError(
-                f"reduce needs degree {gtotal - 1}, got {degree(D)}")
-        key = self.system.class_key(D)
-        ts = self.table.get(key)
-        if ts is None:
-            raise PreconditionError(
-                "no representative: per-component degrees must equal genus - 1")
-        cert = self.system.solve_potential(D - tree_divisor(g, ts))
-        if cert is None:
-            raise AssertionError(
-                "reduction found a representative with no chip-firing "
-                "certificate")
-        from .divisors import EquivalenceCertificate
-        return ts, EquivalenceCertificate(potential=cert)
+def reduce(g, D, roots=None, starts=None):
+    """The unique sub-weighted forest equivalent to D (roots and starts as
+    in `resolve_roots`) and a chip-firing certificate: a walk to D's class
+    that holds one forest's keys at a time, checked by `tree_divisor`."""
+    roots, starts = resolve_roots(g, roots, starts)
+    gtotal = weighted_genus(g)
+    if len(g.components()) == 1 and degree(D) != gtotal - 1:
+        raise PreconditionError(
+            f"reduce needs degree {gtotal - 1}, got {degree(D)}")
+    system = LaplacianSystem(g)
+    key = system.class_key(D)
+    for k, forest, combo in _keyed_subweightings(g, system, starts):
+        if k == key:
+            break
+    else:
+        raise PreconditionError(
+            "no representative: per-component degrees must equal genus - 1")
+    ts = _with_sigma(g, forest, combo, roots, starts)
+    cert = system.solve_potential(D - tree_divisor(g, ts))
+    if cert is None:
+        raise AssertionError("reduction found a representative with no "
+                             "chip-firing certificate")
+    return ts, EquivalenceCertificate(potential=cert)
 
 
-def reduce(g, D, q=None, e0=None):
-    """Unique sub-weighted tree equivalent to D, plus the chip-firing
-    certificate; q replaces its component's root, e0 is q's start."""
-    roots = None if q is None else (q,)
-    starts = None if e0 is None else {q: e0}
-    return BernardiReducer(g, roots, starts).reduce(D)
-
-
-def torsor_act(g, D0, ts: SubweightedTree, reducer=None) -> SubweightedTree:
+def torsor_act(g, D0, ts: SubweightedTree) -> SubweightedTree:
     """Translate the sub-weighted tree ts by the degree-0 class of D0."""
     if degree(D0) != 0:
         raise PreconditionError("torsor action needs a degree-0 divisor")
-    if reducer is None:
-        reducer = BernardiReducer(g, ts.roots, ts.starts)
-    out, _cert = reducer.reduce(D0 + tree_divisor(g, ts))
+    out, _cert = reduce(g, D0 + tree_divisor(g, ts), ts.roots, ts.starts)
     return out
+
+
+class BernardiReducer:
+    """Table from every class of per-component degree genus - 1 to its
+    sub-weighted forest, from the walk that `reduce` takes: the oracle of
+    the completeness checks in `selfcheck`.  Raises AssertionError when two
+    sub-weighted forests land in one class."""
+
+    def __init__(self, g, roots=None, starts=None):
+        roots, starts = resolve_roots(g, roots, starts)
+        self.system = LaplacianSystem(g)
+        self.table = {}
+        for key, forest, combo in _keyed_subweightings(g, self.system, starts):
+            if key in self.table:
+                raise AssertionError(
+                    "two sub-weighted forests landed in one class; "
+                    "completeness is violated")
+            self.table[key] = _with_sigma(g, forest, combo, roots, starts)

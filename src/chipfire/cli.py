@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import bernardi, picard, serialize
-from .divisors import laplacian
+from .divisors import check_on_graph, laplacian
 from .errors import GraphInputError, PreconditionError
 from .fibers import (SpecialFiberDescription, balanced_representatives,
                      component_group, dual_graph, phi_note)
@@ -45,15 +45,15 @@ def _load_graph(path):
     return serialize.graph_from_obj(_load_json(path))
 
 
-def _load_divisor(path):
-    return serialize.divisor_from_obj(_load_json(path))
-
-
-def _load_potential(path):
+def _load_divisor(g, path, potential=False):
+    """A divisor file's coefficients, or a potential file's "potential"
+    (or "coefficients"), checked to name only vertices of g."""
     obj = _load_json(path)
-    key = "potential" if isinstance(obj, dict) and "potential" in obj else "coefficients"
+    key = ("potential" if potential and isinstance(obj, dict) and "potential" in obj
+           else "coefficients")
     D = serialize.divisor_from_obj(obj, key=key)
-    return D.coefficients
+    check_on_graph(g, D)
+    return D
 
 
 def _emit(text):
@@ -122,7 +122,7 @@ def _cmd_trees(args):
 def _cmd_laplacian(args):
     g = _load_graph(args.graph)
     if args.divisor:
-        f = _load_potential(args.divisor)
+        f = _load_divisor(g, args.divisor, potential=True).coefficients
         _emit(serialize.dumps(serialize.divisor_to_obj(laplacian(g, f))))
     else:
         _emit(serialize.dumps({"vertices": list(g.vertices),
@@ -132,8 +132,10 @@ def _cmd_laplacian(args):
 
 def _cmd_reduce(args):
     g = _load_graph(args.graph)
-    D = _load_divisor(args.divisor)
-    ts, cert = bernardi.reduce(g, D, q=args.root, e0=args.start)
+    D = _load_divisor(g, args.divisor)
+    roots = None if args.root is None else (args.root,)
+    starts = None if args.start is None else {args.root: args.start}
+    ts, cert = bernardi.reduce(g, D, roots, starts)
     _emit(serialize.dumps({"tree": serialize.tree_to_obj(g, ts),
                            "certificate": serialize.certificate_to_obj(cert)}))
     return 0
@@ -141,7 +143,7 @@ def _cmd_reduce(args):
 
 def _cmd_act(args):
     g = _load_graph(args.graph)
-    D0 = _load_divisor(args.divisor)
+    D0 = _load_divisor(g, args.divisor)
     ts = serialize.tree_from_obj(g, _load_json(args.tree))
     out = bernardi.torsor_act(g, D0, ts)
     _emit(serialize.dumps(serialize.tree_to_obj(g, out)))

@@ -27,11 +27,19 @@ class SpecialFiberDescription:
     def from_obj(cls, obj):
         try:
             comps = tuple((c["id"], c.get("index", 1)) for c in obj["components"])
-            nodes = tuple((p["id"], tuple(p["ends"]), p.get("degree", 1))
+            nodes = tuple((p["id"], p["ends"], p.get("degree", 1))
                           for p in obj["nodes"])
         except (KeyError, TypeError) as exc:
             raise GraphInputError(f"malformed fiber object: {exc}") from exc
-        return cls(comps, nodes)
+        for node, ends, _ in nodes:
+            if not isinstance(ends, list) or len(ends) != 2:
+                raise GraphInputError(f"node {node!r} needs a list of two ends")
+        for x in [c for c, _ in comps] + [x for node, ends, _ in nodes
+                                          for x in (node, *ends)]:
+            if not isinstance(x, (str, int, float)):
+                raise GraphInputError(f"fiber id {x!r} is not a string or a number")
+        return cls(comps, tuple((node, tuple(ends), deg)
+                                for node, ends, deg in nodes))
 
     def to_obj(self):
         return {

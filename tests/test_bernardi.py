@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,7 +12,8 @@ from chipfire import (BernardiReducer, Divisor, GraphInputError,
                       equivalent, expand_hat, hat_tree_to_pair, is_balanced,
                       laplacian, orientation_divisor, torsor_act, tour_forest,
                       tree_divisor, weighted_genus)
-from chipfire.bernardi import hat_reference_shift, reduce as bernardi_reduce
+from chipfire.bernardi import (hat_reference_shift, reduce as bernardi_reduce,
+                               resolve_roots)
 
 TW_ROOTS = (("v2",), {"v2": ("a", 1)})
 
@@ -129,7 +131,7 @@ def test_hat_tree_copy_choice_sweeps_sigma(tw):
 
 def test_reduce_examples(tw):
     ts, cert = bernardi_reduce(tw, Divisor({"v1": 2, "v2": -2, "v3": 1}),
-                               q="v2", e0="a")
+                               roots=("v2",), starts={"v2": "a"})
     assert ts.forest_edges == ("b", "c")
     assert ts.sigma == {"a": 2, "b": 2, "c": 1}
     assert laplacian(tw, cert.potential).vector(tw) == [2, -3, 1]
@@ -137,14 +139,14 @@ def test_reduce_examples(tw):
 
 def test_reduce_fixed_point(tw):
     ts0 = _tw_sub(tw, ("a", "b"), {"a": 1, "b": 1})
-    reducer = BernardiReducer(tw, *TW_ROOTS)
-    ts, cert = reducer.reduce(tree_divisor(tw, ts0))
+    ts, cert = bernardi_reduce(tw, tree_divisor(tw, ts0), *TW_ROOTS)
     assert ts == ts0
     assert set(cert.potential.values()) == {0}
 
 
 def test_reduce_unweighted_zero(triangle):
-    ts, _ = bernardi_reduce(triangle, Divisor.zero(triangle), q="v2", e0="a")
+    ts, _ = bernardi_reduce(triangle, Divisor.zero(triangle),
+                            roots=("v2",), starts={"v2": "a"})
     assert set(ts.forest_edges) == {"b", "c"}
 
 
@@ -166,14 +168,13 @@ def test_triangle_qorientable_divisors_exhaust_classes(triangle):
 
 
 def test_torsor_action(tw):
-    reducer = BernardiReducer(tw, *TW_ROOTS)
     ts0 = _tw_sub(tw, ("a", "b"), {"a": 2, "b": 2})
-    moved = torsor_act(tw, Divisor({"v1": 2, "v2": -1, "v3": -1}), ts0, reducer)
+    moved = torsor_act(tw, Divisor({"v1": 2, "v2": -1, "v3": -1}), ts0)
     assert moved.forest_edges == ("b", "c")
     assert moved.sigma == {"a": 2, "b": 2, "c": 1}
-    assert torsor_act(tw, Divisor.zero(tw), ts0, reducer) == ts0
+    assert torsor_act(tw, Divisor.zero(tw), ts0) == ts0
     with pytest.raises(PreconditionError):
-        torsor_act(tw, Divisor({"v1": 1}), ts0, reducer)
+        torsor_act(tw, Divisor({"v1": 1}), ts0)
 
 
 def test_tour_covers_from_root(four_edge_pleasant):
@@ -267,6 +268,7 @@ def test_affine_sigma_path_matches_per_tree_path(g):
     q = g.vertices[-1]
     roots, starts = (q,), {q: g.ribbon[q][-1]}
     reducer = BernardiReducer(g, roots, starts)
+    resolved = resolve_roots(g, roots, starts)
     everything = []
     for forest in enumerate_forests(g):
         subs = enumerate_subweightings(g, forest, roots=roots, starts=starts)
@@ -274,8 +276,8 @@ def test_affine_sigma_path_matches_per_tree_path(g):
                  for combo in itertools.product(
                      *(range(1, g.edge_weight[e] + 1) for e in forest))]
         assert [ts.sigma for ts in subs] == plain
-        assert all(ts.forest_edges == forest and ts.roots == reducer.roots
-                   and ts.starts == reducer.starts for ts in subs)
+        assert all(ts.forest_edges == forest
+                   and (ts.roots, ts.starts) == resolved for ts in subs)
         balanced = enumerate_subweightings(g, forest, balanced_only=True,
                                            roots=roots, starts=starts)
         assert balanced == [ts for ts in subs
@@ -284,5 +286,31 @@ def test_affine_sigma_path_matches_per_tree_path(g):
     assert list(reducer.table.values()) == everything
     for key, ts in reducer.table.items():
         assert reducer.system.class_key(tree_divisor(g, ts)) == key
+    # the walk stops at the same trees; the action keeps the tree's roots
+    # and starts, the non-default root among them
+    comp = next(c for c in g.components() if q in c)
+    D0 = Divisor({comp[0]: 1, q: -1})
     for ts in random.Random(2).sample(everything, 20):
-        assert reducer.reduce(tree_divisor(g, ts))[0] == ts
+        assert bernardi_reduce(g, tree_divisor(g, ts), roots, starts)[0] == ts
+        moved = torsor_act(g, D0, ts)
+        assert (moved.roots, moved.starts) == resolved and q in moved.roots
+        assert reducer.system.class_key(tree_divisor(g, moved)) \
+            == reducer.system.class_key(D0 + tree_divisor(g, ts))
+
+
+def test_reduce_memory_does_not_grow_with_the_group():
+    # K5 with every edge weight 3 has 10,125 classes; a table of them all
+    # peaks at about 5 MiB, the walk holds one forest's keys at a time
+    vs = [f"v{i}" for i in range(5)]
+    edges = [(f"{a}{b}", (a, b)) for a, b in itertools.combinations(vs, 2)]
+    g = WeightedMultigraph.build(vs, edges, edge_weight={e: 3 for e, _ in edges})
+    D = Divisor({"v0": weighted_genus(g) - 1})
+    tracemalloc.start()
+    try:
+        ts, cert = bernardi_reduce(g, D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert laplacian(g, cert.potential).vector(g) \
+        == (D - tree_divisor(g, ts)).vector(g)
+    assert peak < 2 ** 20

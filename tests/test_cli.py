@@ -169,8 +169,8 @@ TRUE_WEIGHT = {**TW_OBJ, "vertices": [{"id": "v1", "weight": 2},
                                       {"id": "v3"}]}
 
 
-def _act(tree, id, graph=TW_OBJ):
-    files = {"--graph": graph, "--divisor": ZERO, "--tree": tree}
+def _act(tree, id, graph=TW_OBJ, divisor=ZERO):
+    files = {"--graph": graph, "--divisor": divisor, "--tree": tree}
     return pytest.param("act", files, [], id=id)
 
 
@@ -181,6 +181,11 @@ def _reduce(extra, id, divisor=DEGREE_1):
 
 def _group(graph, id):
     return pytest.param("group", {"--graph": graph}, [], id=id)
+
+
+def _fiber(components, ends, id):
+    fiber = {"components": components, "nodes": [{"id": "p", "ends": ends}]}
+    return pytest.param("fiber", {"--fiber": fiber}, [], id=id)
 
 
 TW_RIBBON = {"v1": ["a", "b"], "v2": ["a", "c"], "v3": ["b", "c"]}
@@ -206,6 +211,15 @@ TW_RIBBON = {"v1": ["a", "b"], "v2": ["a", "c"], "v3": ["b", "c"]}
     _reduce(["--root", "v2", "--start", "b"], "reduce-start-not-at-root"),
     _reduce([], "divisor-true",
             divisor={"coefficients": {"v1": True, "v2": 0, "v3": 0}}),
+    _reduce([], "divisor-unknown-vertex",
+            divisor={"coefficients": {"v1": 2, "v2": -2, "v3": 1, "zz": 5}}),
+    _act(TREE, "act-divisor-unknown-vertex",
+         divisor={"coefficients": {"v1": 0, "v2": 0, "zz": 0}}),
+    _act(TREE, "act-divisor-unknown-vertex-off-class",
+         divisor={"coefficients": {"v1": 1, "v2": 0, "zz": -1}}),
+    pytest.param("laplacian", {"--graph": TW_OBJ, "--divisor": {
+        "potential": {"v1": 0, "v2": 0, "v3": 0, "zz": 7}}}, [],
+        id="potential-unknown-vertex"),
     _group({**TW_OBJ, "ribbon": [TW_RIBBON["v1"]]}, "ribbon-list"),
     _group({**TW_OBJ, "ribbon": {**TW_RIBBON, "v1": [1, "b"]}}, "ribbon-token-int"),
     _group({**TW_OBJ, "edges": [{"id": "a", "ends": ["v1"]}]}, "ends-one"),
@@ -215,6 +229,9 @@ TW_RIBBON = {"v1": ["a", "b"], "v2": ["a", "c"], "v3": ["b", "c"]}
         "components": [{"id": "C"}],
         "nodes": [{"id": "p", "ends": ["C", "C"], "degree": "x"}]}}, [],
         id="fiber-degree-string"),
+    _fiber([{"id": "C"}], "CC", "fiber-ends-string"),
+    _fiber([{"id": "C"}], [["C"], "C"], "fiber-end-list"),
+    _fiber([{"id": ["C"]}], ["C", "C"], "fiber-component-id-list"),
 ])
 def test_malformed_input_exits_1(tmp_path, capsys, command, files, extra):
     argv = [command]
