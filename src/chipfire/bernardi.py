@@ -18,7 +18,7 @@ from operator import sub
 from .divisors import (Divisor, EquivalenceCertificate, LaplacianSystem,
                        degree)
 from .errors import GraphInputError, PreconditionError
-from .graphs import WeightedMultigraph, is_int, weighted_genus
+from .graphs import WeightedMultigraph, component_genera, is_int
 from .trees import enumerate_forests, is_maximal_forest
 
 
@@ -250,8 +250,10 @@ def _with_sigma(g, forest, combo, roots, starts):
                            roots, starts)
 
 
-def enumerate_subweightings(g, T, balanced_only=False, roots=None, starts=None):
-    """All edge sub-weightings of the forest T, in sigma-lexicographic order.
+def subweighting_combos(g, T, balanced_only=False, roots=None, starts=None):
+    """The checked tree of the forest T (sigma = w) and an iterator over the
+    sigma values on its forest edges, in their order, of every sub-weighting
+    in sigma-lexicographic order.
 
     With balanced_only, only those whose tree divisor is balanced: the
     residues of D_{T,sigma} at the vertices of weight > 1, modulo their
@@ -267,7 +269,14 @@ def enumerate_subweightings(g, T, balanced_only=False, roots=None, starts=None):
         _, residues = _affine_residues(g, forest, base.starts, cols,
                                        [g.vertex_weight[h] for h in heavy])
         combos = itertools.compress(combos, [not any(r) for r in residues])
-    return [_with_sigma(g, forest, combo, base.roots, base.starts)
+    return base, combos
+
+
+def enumerate_subweightings(g, T, balanced_only=False, roots=None, starts=None):
+    """All edge sub-weightings of the forest T, in sigma-lexicographic order
+    (balanced ones only with balanced_only; see `subweighting_combos`)."""
+    base, combos = subweighting_combos(g, T, balanced_only, roots, starts)
+    return [_with_sigma(g, base.forest_edges, combo, base.roots, base.starts)
             for combo in combos]
 
 
@@ -352,18 +361,20 @@ def reduce(g, D, roots=None, starts=None):
     in `resolve_roots`) and a chip-firing certificate: a walk to D's class
     that holds one forest's keys at a time, checked by `tree_divisor`."""
     roots, starts = resolve_roots(g, roots, starts)
-    gtotal = weighted_genus(g)
-    if len(g.components()) == 1 and degree(D) != gtotal - 1:
-        raise PreconditionError(
-            f"reduce needs degree {gtotal - 1}, got {degree(D)}")
+    want = tuple(genus - 1 for genus in component_genera(g))
+    if len(want) == 1 and degree(D) != want[0]:
+        raise PreconditionError(f"reduce needs degree {want[0]}, got {degree(D)}")
     system = LaplacianSystem(g)
     key = system.class_key(D)
+    if key[0] != want:
+        raise PreconditionError(
+            "no representative: per-component degrees must equal genus - 1")
     for k, forest, combo in _keyed_subweightings(g, system, starts):
         if k == key:
             break
     else:
-        raise PreconditionError(
-            "no representative: per-component degrees must equal genus - 1")
+        raise AssertionError("no sub-weighted forest lands in the class of a "
+                             "divisor of the right degrees; completeness is violated")
     ts = _with_sigma(g, forest, combo, roots, starts)
     cert = system.solve_potential(D - tree_divisor(g, ts))
     if cert is None:
@@ -374,8 +385,9 @@ def reduce(g, D, roots=None, starts=None):
 
 def torsor_act(g, D0, ts: SubweightedTree) -> SubweightedTree:
     """Translate the sub-weighted tree ts by the degree-0 class of D0."""
-    if degree(D0) != 0:
-        raise PreconditionError("torsor action needs a degree-0 divisor")
+    if any(sum(D0.coefficients.get(v, 0) for v in comp) for comp in g.components()):
+        raise PreconditionError(
+            "torsor action needs a divisor of degree 0 on each component")
     out, _cert = reduce(g, D0 + tree_divisor(g, ts), ts.roots, ts.starts)
     return out
 

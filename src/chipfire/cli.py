@@ -13,8 +13,8 @@ import sys
 from . import bernardi, picard, serialize
 from .divisors import check_on_graph, laplacian
 from .errors import GraphInputError, PreconditionError
-from .fibers import (SpecialFiberDescription, balanced_representatives,
-                     component_group, dual_graph, phi_note)
+from .fibers import (SpecialFiberDescription, component_group_structure,
+                     dual_graph, phi_note)
 from .graphs import (SplitPlan, add_leaf, component_genera, expand_hat,
                      shrink_vertex_weight, split_edge, split_vertex,
                      validate, weighted_genus)
@@ -52,7 +52,7 @@ def _load_divisor(g, path, potential=False):
     key = ("potential" if potential and isinstance(obj, dict) and "potential" in obj
            else "coefficients")
     D = serialize.divisor_from_obj(obj, key=key)
-    check_on_graph(g, D)
+    check_on_graph(g, D, "potential" if potential else "divisor")
     return D
 
 
@@ -107,15 +107,17 @@ def _cmd_count(args):
     return 0
 
 
+def _emit_representatives(g, balanced_only, before=(), after=()):
+    """Stream every (balanced) sub-weighted forest of g, one forest at a
+    time; an internal check that fails midway leaves the output cut short."""
+    serialize.write_representatives(
+        _emit, g, (bernardi.subweighting_combos(g, forest, balanced_only)
+                   for forest in enumerate_forests(g)), before, after)
+
+
 def _cmd_trees(args):
     g = _load_graph(args.graph)
-    if args.balanced:
-        reps = balanced_representatives(g)
-    else:
-        reps = [ts for forest in enumerate_forests(g)
-                for ts in bernardi.enumerate_subweightings(g, forest)]
-    _emit(serialize.dumps(
-        {"representatives": [serialize.tree_to_obj(g, ts) for ts in reps]}))
+    _emit_representatives(g, args.balanced)
     return 0
 
 
@@ -193,12 +195,8 @@ def _cmd_rewrite(args):
 def _cmd_fiber(args):
     f = SpecialFiberDescription.from_obj(_load_json(args.fiber))
     g = dual_graph(f)
-    structure, reps = component_group(f)
-    _emit(serialize.dumps({
-        "group": serialize.group_to_obj(structure),
-        "representatives": [serialize.tree_to_obj(g, ts) for ts in reps],
-        "phi_note": phi_note(f),
-    }))
+    group = serialize.group_to_obj(component_group_structure(g))
+    _emit_representatives(g, True, {"group": group}, {"phi_note": phi_note(f)})
     return 0
 
 

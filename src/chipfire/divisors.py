@@ -42,10 +42,13 @@ class Divisor:
         return cls({v: 0 for v in g.vertices})
 
 
-def check_on_graph(g, D):
+def check_on_graph(g, D, what="divisor"):
+    """Raises GraphInputError if the divisor (or potential) D names a
+    vertex that g does not have."""
     extra = set(D.coefficients) - set(g.vertices)
     if extra:
-        raise GraphInputError(f"divisor mentions unknown vertices {sorted(extra)}")
+        raise GraphInputError(
+            f"{what} mentions unknown vertices {sorted(extra, key=repr)}")
 
 
 def degree(D: Divisor) -> int:
@@ -70,10 +73,12 @@ def unbalancing_class(g, D) -> UnbalancingClass:
 
 
 def laplacian(g, f) -> Divisor:
-    """Weighted Laplacian of a potential f (vertex -> int); loops contribute 0."""
+    """Weighted Laplacian of a potential f (vertex -> int); loops contribute 0.
+    f must give exactly the vertices of g."""
     missing = set(g.vertices) - set(f)
     if missing:
         raise PreconditionError(f"potential is undefined at {sorted(missing)}")
+    check_on_graph(g, Divisor(f), "potential")
     out = {v: 0 for v in g.vertices}
     for e in g.edges:
         if e.is_loop:

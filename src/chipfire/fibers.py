@@ -91,10 +91,16 @@ def balanced_representatives(g):
 def component_group(f: SpecialFiberDescription):
     """Group structure of the arithmetic component group plus its torsor elements."""
     g = dual_graph(f)
+    return component_group_structure(g), balanced_representatives(g)
+
+
+def component_group_structure(g):
+    """Group structure of the arithmetic component group of a fiber with
+    dual graph g: its balanced Jacobian."""
     if not g.is_connected():
         warnings.warn("special fiber is disconnected; computing the "
                       "component-wise direct sum", stacklevel=2)
-    return picb0_structure(g), balanced_representatives(g)
+    return picb0_structure(g)
 
 
 def phi_note(f: SpecialFiberDescription) -> str:

@@ -59,7 +59,26 @@ def smith_diagonal(A, m):
         for row in S:
             row[i], row[j] = row[j], row[i]
 
-    for t in range(min(rows, cols)):
+    # While some entry is a unit mod m, pivot on it: once its column is
+    # cleared, the column steps that clear its row change nothing else, so
+    # it contributes a 1 and the Euclidean steps below reduce the rest.
+    t = 0
+    while t < min(rows, cols):
+        unit = next(((i, j) for i in range(t, rows) for j in range(t, cols)
+                     if math.gcd(S[i][j], m) == 1), None)
+        if unit is None:
+            break
+        S[t], S[unit[0]] = S[unit[0]], S[t]
+        swap_cols(t, unit[1])
+        pivot_row = S[t]
+        inv = pow(pivot_row[t], -1, m)
+        for i in range(t + 1, rows):
+            f = S[i][t] * inv % m
+            if f:
+                S[i] = [(a - f * b) % m for a, b in zip(S[i], pivot_row)]
+        t += 1
+
+    for t in range(t, min(rows, cols)):
         piv = None
         for i in range(t, rows):
             for j in range(t, cols):

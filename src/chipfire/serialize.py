@@ -96,17 +96,20 @@ def certificate_to_obj(cert: EquivalenceCertificate):
 
 
 def tree_to_obj(g, ts: SubweightedTree):
-    obj = {"tree": list(ts.forest_edges),
-           "sigma": {e.id: ts.sigma[e.id] for e in g.edges}}
-    if len(ts.roots) == 1:
-        q = ts.roots[0]
-        obj["root"] = q
-        if q in ts.starts:
-            obj["start"] = _halfedge_to_json(g, ts.starts[q])
-    else:
-        obj["roots"] = list(ts.roots)
-        obj["starts"] = {q: _halfedge_to_json(g, h) for q, h in ts.starts.items()}
-    return obj
+    return {"tree": list(ts.forest_edges),
+            "sigma": {e.id: ts.sigma[e.id] for e in g.edges},
+            **_roots_to_obj(g, ts.roots, ts.starts)}
+
+
+def _roots_to_obj(g, roots, starts):
+    if len(roots) == 1:
+        q = roots[0]
+        obj = {"root": q}
+        if q in starts:
+            obj["start"] = _halfedge_to_json(g, starts[q])
+        return obj
+    return {"roots": list(roots),
+            "starts": {q: _halfedge_to_json(g, h) for q, h in starts.items()}}
 
 
 def tree_from_obj(g, obj) -> SubweightedTree:
@@ -132,6 +135,57 @@ def group_to_obj(s: AbelianGroupStructure):
 
 def dumps(obj):
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+
+
+def _key_text(key):
+    """A dict key as `dumps` writes it: a number, true, false or null key
+    becomes the string of its JSON text."""
+    return json.dumps(key if isinstance(key, str) else json.dumps(key))
+
+
+def _member(key, value, depth):
+    """`key: value` of an object whose members `dumps` indents by depth,
+    preceded by its newline and indent."""
+    pad = "\n" + " " * depth
+    return f"{pad}{_key_text(key)}: " + json.dumps(value, indent=2).replace("\n", pad)
+
+
+def write_representatives(write, g, subweightings, before=(), after=()):
+    """Write, through write, the text of
+    dumps({**before, "representatives": [tree_to_obj(g, ts), ...], **after})
+    one forest at a time, without building a tree or its object.
+
+    subweightings yields (base, combos) per forest, as
+    `bernardi.subweighting_combos` returns them: base gives the forest,
+    roots and starts, and combos the sigma values on the forest edges.  The
+    representatives of one forest fill one %-template: the sigma keys are
+    fixed per graph, the tree and sigma off the forest per forest, and the
+    roots and starts per (roots, starts).
+    """
+    keys = [f"\n        {_key_text(e.id)}: ".replace("%", "%%") for e in g.edges]
+    write("{" + "".join(_member(k, v, 2) + "," for k, v in dict(before).items())
+          + '\n  "representatives": [')
+    roots = tail = None
+    sep = ""
+    for base, combos in subweightings:
+        if (base.roots, base.starts) != roots:
+            roots = base.roots, base.starts
+            tail = "".join("," + _member(k, v, 6) for k, v in
+                           _roots_to_obj(g, *roots).items()).replace("%", "%%")
+        in_forest = set(base.forest_edges)
+        sigma = ",".join(key + ("%d" if e.id in in_forest else str(g.edge_weight[e.id]))
+                         for key, e in zip(keys, g.edges))
+        tree = _member("tree", list(base.forest_edges), 6).replace("%", "%%")
+        template = ("\n    {" + tree + ',\n      "sigma": '
+                    + ("{" + sigma + "\n      }" if keys else "{}")
+                    + tail + "\n    }")
+        chunk = ",".join(map(template.__mod__, combos))
+        if chunk:
+            write(sep + chunk)
+            sep = ","
+    write(("\n  ]" if sep else "]")
+          + "".join("," + _member(k, v, 2) for k, v in dict(after).items())
+          + "\n}\n")
 
 
 def graph_to_dot(g: WeightedMultigraph) -> str:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from chipfire import bernardi
 from chipfire import (BernardiReducer, Divisor, GraphInputError,
                       PreconditionError, SubweightedTree, WeightedMultigraph,
                       degree, enumerate_forests, enumerate_subweightings,
@@ -153,6 +154,26 @@ def test_reduce_unweighted_zero(triangle):
 def test_reduce_rejects_wrong_degree(tw):
     with pytest.raises(PreconditionError):
         bernardi_reduce(tw, Divisor.zero(tw))
+
+
+def test_reduce_checks_component_degrees_before_the_walk(tw, monkeypatch):
+    # tw plus a disjoint edge {u, x}: per-component genus - 1 is (1, -1)
+    g = WeightedMultigraph.build(
+        [*tw.vertices, "u", "x"], [*((e.id, e.ends) for e in tw.edges),
+                                   ("d", ("u", "x"))],
+        tw.vertex_weight, tw.edge_weight)
+    roots, starts = (("v1", "u"), None)
+    ts = enumerate_subweightings(g, ("a", "b", "d"), roots=roots)[0]
+    off = Divisor({"v1": 1, "v2": 0, "v3": -1, "u": 0, "x": 0})
+    monkeypatch.setattr(bernardi, "_keyed_subweightings", None)  # no walk
+    with pytest.raises(PreconditionError, match="genus - 1"):
+        bernardi_reduce(g, tree_divisor(g, ts) + Divisor({"v1": 1, "u": -1}),
+                        roots, starts)
+    with pytest.raises(PreconditionError, match="degree 0 on each component"):
+        torsor_act(g, Divisor({"v1": 1, "u": -1}), ts)
+    monkeypatch.undo()
+    assert torsor_act(g, off, ts) == bernardi_reduce(
+        g, tree_divisor(g, ts) + off, roots, starts)[0]
 
 
 def test_triangle_qorientable_divisors_exhaust_classes(triangle):

@@ -1,4 +1,7 @@
+import itertools
 import json
+import sys
+import tracemalloc
 
 import pytest
 
@@ -160,6 +163,22 @@ def test_exit_codes(tw_file, tmp_path, capsys):
     assert code == 1
 
 
+def test_act_needs_degree_zero_on_each_component(tmp_path, capsys):
+    two = {"vertices": [{"id": v} for v in "abcd"],
+           "edges": [{"id": "ab", "ends": ["a", "b"], "weight": 2},
+                     {"id": "cd", "ends": ["c", "d"], "weight": 2}]}
+    tree = {"tree": ["ab", "cd"], "sigma": {"ab": 1, "cd": 1},
+            "roots": ["a", "c"]}
+    argv = ["act", "--graph", _write(tmp_path, "g.json", two),
+            "--tree", _write(tmp_path, "t.json", tree), "--divisor"]
+    bad = {"coefficients": {"a": 1, "b": 0, "c": -1, "d": 0}}
+    code, out, err = _run(capsys, *argv, _write(tmp_path, "d.json", bad))
+    assert (code, out) == (2, "") and "degree 0 on each component" in err
+    good = {"coefficients": {"a": 1, "b": -1, "c": 0, "d": 0}}
+    code, out, _ = _run(capsys, *argv, _write(tmp_path, "d0.json", good))
+    assert code == 0 and json.loads(out)["roots"] == ["a", "c"]
+
+
 TREE = {"tree": ["a", "b"], "sigma": {"a": 2, "b": 2, "c": 1}, "root": "v2",
         "start": "a"}
 ZERO = {"coefficients": {"v1": 0, "v2": 0, "v3": 0}}
@@ -220,6 +239,9 @@ TW_RIBBON = {"v1": ["a", "b"], "v2": ["a", "c"], "v3": ["b", "c"]}
     pytest.param("laplacian", {"--graph": TW_OBJ, "--divisor": {
         "potential": {"v1": 0, "v2": 0, "v3": 0, "zz": 7}}}, [],
         id="potential-unknown-vertex"),
+    pytest.param("laplacian", {"--graph": TW_OBJ, "--divisor": {
+        "coefficients": {"v1": 0, "v2": 0, "v3": 0, "zz": 7}}}, [],
+        id="potential-coefficients-unknown-vertex"),
     _group({**TW_OBJ, "ribbon": [TW_RIBBON["v1"]]}, "ribbon-list"),
     _group({**TW_OBJ, "ribbon": {**TW_RIBBON, "v1": [1, "b"]}}, "ribbon-token-int"),
     _group({**TW_OBJ, "edges": [{"id": "a", "ends": ["v1"]}]}, "ends-one"),
@@ -240,6 +262,8 @@ def test_malformed_input_exits_1(tmp_path, capsys, command, files, extra):
     code, out, err = _run(capsys, *argv, *extra)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "Traceback" not in err
+    if command == "laplacian":
+        assert "potential mentions" in err
 
 
 def test_graph_json_round_trip(tw_file):
@@ -252,3 +276,32 @@ def test_loop_ribbon_serialization():
     obj = serialize.graph_to_obj(g)
     assert obj["ribbon"]["v"] == ["l:0", "l:1"]
     assert serialize.graph_from_obj(obj) == g
+
+
+class _Sink:
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+def test_trees_output_memory_does_not_grow_with_the_group(tmp_path, monkeypatch):
+    """K5 with every edge weight 3 has 10,125 representatives; the CLI
+    holds one forest's text at a time."""
+    vertices = [str(i) for i in range(5)]
+    path = tmp_path / "k5.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": v} for v in vertices],
+        "edges": [{"id": u + v, "ends": [u, v], "weight": 3}
+                  for u, v in itertools.combinations(vertices, 2)]}))
+    sink = _Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["trees", "--graph", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.size > 10125 * 200
+    assert peak < 2 * 2**20

@@ -5,8 +5,11 @@ import pathlib
 import subprocess
 import sys
 
-from chipfire import (Divisor, chip_fire, degree, equivalent, is_balanced,
-                      laplacian, serialize, unbalancing_class)
+import pytest
+
+from chipfire import (Divisor, GraphInputError, PreconditionError, chip_fire,
+                      degree, equivalent, is_balanced, laplacian, serialize,
+                      unbalancing_class)
 from chipfire.divisors import LaplacianSystem
 
 
@@ -42,6 +45,14 @@ def test_laplacian(four_edge_pleasant, triangle):
         == [0, 0, 0]
     assert laplacian(triangle, {"v1": 1, "v2": 0, "v3": 0}).vector(triangle) \
         == [2, -1, -1]
+
+
+def test_laplacian_needs_exactly_the_vertices(triangle):
+    f = {"v1": 1, "v2": 0, "v3": 0}
+    with pytest.raises(PreconditionError, match="undefined"):
+        laplacian(triangle, {"v1": 1, "v2": 0})
+    with pytest.raises(GraphInputError, match="potential mentions unknown"):
+        laplacian(triangle, {**f, "zz": 7})
 
 
 def test_chip_fire_matches_indicator(tw):

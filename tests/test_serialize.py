@@ -1,0 +1,82 @@
+"""The streamed representatives writer against `dumps` of `tree_to_obj`."""
+
+import io
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chipfire import WeightedMultigraph, enumerate_forests
+from chipfire.bernardi import enumerate_subweightings, subweighting_combos
+from chipfire.serialize import dumps, tree_to_obj, write_representatives
+
+# ids a graph file may hold: strings that need escaping or a %, an int next
+# to its string twin, a float, null and true
+IDS = ["a", 'q"', "b\\", "é", "☃", "%d", "7", 7, 2.5, None, -3, True]
+
+
+def _written(g, balanced, roots=None, starts=None, before=(), after=()):
+    out = io.StringIO()
+    write_representatives(
+        out.write, g, (subweighting_combos(g, forest, balanced, roots, starts)
+                       for forest in enumerate_forests(g)), before, after)
+    return out.getvalue()
+
+
+def _dumped(g, balanced, roots=None, starts=None, before=(), after=()):
+    reps = [tree_to_obj(g, ts) for forest in enumerate_forests(g)
+            for ts in enumerate_subweightings(g, forest, balanced, roots, starts)]
+    return dumps({**dict(before), "representatives": reps, **dict(after)})
+
+
+@st.composite
+def graphs(draw):
+    vertices = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=4,
+                             unique=True))
+    edge_ids = draw(st.lists(st.sampled_from(IDS), max_size=5, unique=True))
+    ends = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    edges = [(eid, draw(ends)) for eid in edge_ids]
+    return WeightedMultigraph.build(
+        vertices, edges,
+        {v: draw(st.integers(1, 2)) for v in vertices},
+        {eid: draw(st.integers(1, 3)) for eid in edge_ids})
+
+
+@given(graphs(), st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_writer_matches_dumps(g, balanced, last_roots):
+    # with last_roots, every component's last vertex is its root, at the
+    # last half-edge of its ribbon
+    roots = starts = None
+    if last_roots:
+        roots = tuple(comp[-1] for comp in g.components())
+        starts = {q: g.ribbon[q][-1] for q in roots if g.ribbon[q]}
+    assert _written(g, balanced, roots, starts) == _dumped(g, balanced, roots, starts)
+
+
+def test_writer_edge_cases():
+    one = WeightedMultigraph.build(["v"], [])
+    loop_start = WeightedMultigraph.build(
+        ["u", 7], [("l", ("u", "u")), ("7", ("u", 7)), (7, (7, 7))],
+        {"u": 2}, {"l": 2, "7": 2})
+    two = WeightedMultigraph.build(
+        ["a", "b", 'c"', None], [("x", ("a", "b")), ("y", ('c"', None)),
+                                 ("z", ("a", "b"))],
+        {}, {"x": 3, "y": 2})
+    # w(u) = 2 and the loop leaves D(u) = -1: no balanced representative
+    unbalanced = WeightedMultigraph.build(
+        ["u", "v"], [("e", ("u", "v")), ("l", ("u", "u"))], {"u": 2})
+    for g in (one, loop_start, two, unbalanced):
+        for balanced in (False, True):
+            assert _written(g, balanced) == _dumped(g, balanced)
+    assert json.loads(_written(one, False))["representatives"] == [
+        {"tree": [], "sigma": {}, "root": "v"}]
+    assert json.loads(_written(loop_start, False))["representatives"][0][
+        "start"] == "l:0"
+    assert "roots" in json.loads(_written(two, False))["representatives"][0]
+    assert _written(unbalanced, True) == '{\n  "representatives": []\n}\n'
+    # the fiber layout: members before and after the list
+    before, after = {"group": {"invariant_factors": [], "order": 1}}, {"note": "é"}
+    for g in (one, two, unbalanced):
+        assert (_written(g, True, before=before, after=after)
+                == _dumped(g, True, before=before, after=after))
