@@ -180,13 +180,19 @@ def _cmd_rewrite(args):
     elif args.rewrite == "shrink":
         out = shrink_vertex_weight(g, args.vertex, args.weight)
     else:  # split-vertex
-        plan_obj = _load_json(args.plan)
-        try:
-            parts = {eid: [(tuple(p[0]) if isinstance(p[0], list) else p[0], p[1])
-                           for p in ps]
-                     for eid, ps in plan_obj["parts"].items()}
-        except (KeyError, TypeError) as exc:
-            raise GraphInputError(f"malformed split plan: {exc}") from exc
+        plan = _load_json(args.plan)
+        parts = plan.get("parts") if isinstance(plan, dict) else None
+        if not isinstance(parts, dict) or not all(
+                isinstance(ps, list) and all(
+                    isinstance(p, list) and len(p) == 2
+                    and (not isinstance(p[0], list) or len(p[0]) == 2)
+                    for p in ps)
+                for ps in parts.values()):
+            raise GraphInputError(
+                'malformed split plan: "parts" must map edge ids to lists of '
+                "[copy, weight], with a pair of copies for a loop")
+        parts = {eid: [(tuple(c) if isinstance(c, list) else c, w) for c, w in ps]
+                 for eid, ps in parts.items()}
         out, _vmap = split_vertex(g, args.vertex, args.copies, SplitPlan(parts))
     _emit_graph(out, args.format)
     return 0

@@ -77,7 +77,7 @@ def laplacian(g, f) -> Divisor:
     f must give exactly the vertices of g."""
     missing = set(g.vertices) - set(f)
     if missing:
-        raise PreconditionError(f"potential is undefined at {sorted(missing)}")
+        raise GraphInputError(f"potential is undefined at {sorted(missing)}")
     check_on_graph(g, Divisor(f), "potential")
     out = {v: 0 for v in g.vertices}
     for e in g.edges:

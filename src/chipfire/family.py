@@ -39,11 +39,6 @@ def _signature(n, vweights, weighted_pairs, perm):
     return (vw, edges)
 
 
-def _canonical_signature(n, vweights, weighted_pairs):
-    return min(_signature(n, vweights, weighted_pairs, list(p))
-               for p in itertools.permutations(range(n)))
-
-
 def _edge_weight_options(max_weight, wa, wb):
     return [w for w in range(1, max_weight + 1) if w % wa == 0 and w % wb == 0]
 

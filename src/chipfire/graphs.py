@@ -152,10 +152,6 @@ class WeightedMultigraph:
         except KeyError:
             raise GraphInputError(f"unknown edge {eid!r}") from None
 
-    def half_edge_vertex(self, h):
-        eid, side = h
-        return self.edge(eid).ends[side]
-
     def components(self):
         """Connected components as tuples of vertices, in declaration order."""
         cached = self.__dict__.get("_components")
@@ -203,17 +199,6 @@ class WeightedMultigraph:
             L[j][i] -= w
         return L
 
-    def subgraph(self, verts):
-        """Induced subgraph on `verts` (a component), keeping order and ribbon."""
-        keep = set(verts)
-        vertices = tuple(v for v in self.vertices if v in keep)
-        edges = tuple((e.id, e.ends) for e in self.edges if e.ends[0] in keep)
-        return WeightedMultigraph.build(
-            vertices, edges,
-            {v: self.vertex_weight[v] for v in vertices},
-            {eid: self.edge_weight[eid] for eid, _ in edges},
-            {v: self.ribbon[v] for v in vertices})
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -244,11 +229,43 @@ def weighted_genus(g: WeightedMultigraph) -> int:
 
 
 def component_genera(g):
-    return [weighted_genus(g.subgraph(c)) for c in g.components()]
+    return [sum(g.edge_weight[e.id] for e in g.edges if e.ends[0] in c)
+            - sum(g.vertex_weight[v] for v in c) + 1
+            for c in map(set, g.components())]
 
 
 def vertex_gcd(g):
     return math.gcd(*g.vertex_weight.values()) if g.vertices else 0
+
+
+# -- edge replacement ---------------------------------------------------
+
+
+def _replace_edges(g, pieces, vertices, vertex_weight):
+    """g with each edge named in `pieces` replaced by its pieces.
+
+    `pieces` maps an edge id to a list of (new id, ends, weight).  The
+    pieces take the edge's place in the edge order, and a piece's ends
+    stand in for the edge's own ends, in order.  In the ribbons, each old
+    half-edge (id, side) becomes the half-edge (new id, side) of each
+    piece, in piece order, at that piece's end `side`: a kept endpoint
+    gets the pieces one after another at the old half-edge, and the copies
+    of a split vertex get theirs in the order of its old ribbon.
+    """
+    edges, ew = [], {}
+    for e in g.edges:
+        for nid, ends, w in pieces.get(e.id, ((e.id, e.ends, g.edge_weight[e.id]),)):
+            edges.append((nid, ends))
+            ew[nid] = w
+    ribbon = {v: [] for v in vertices}
+    for v in g.vertices:
+        for eid, side in g.ribbon[v]:
+            if eid in pieces:
+                for nid, ends, _ in pieces[eid]:
+                    ribbon[ends[side]].append((nid, side))
+            else:
+                ribbon[v].append((eid, side))
+    return WeightedMultigraph.build(vertices, edges, vertex_weight, ew, ribbon)
 
 
 # -- hat graph ------------------------------------------------------------
@@ -260,13 +277,6 @@ class HatGraph:
     copy_of: dict  # hat edge id -> (original edge id, copy index 1..w)
 
 
-def _copy_ids(g, eid):
-    w = g.edge_weight[eid]
-    if w == 1:
-        return [eid]
-    return [f"{eid}#{i}" for i in range(1, w + 1)]
-
-
 def expand_hat(g: WeightedMultigraph) -> HatGraph:
     """Replace each edge by edge-weight many parallel unweighted copies.
 
@@ -274,19 +284,14 @@ def expand_hat(g: WeightedMultigraph) -> HatGraph:
     former position in both endpoint ribbons.
     """
     copy_of = {}
-    edges = []
+    pieces = {}
     for e in g.edges:
-        for i, cid in enumerate(_copy_ids(g, e.id), start=1):
-            copy_of[cid] = (e.id, i)
-            edges.append((cid, e.ends))
-    ribbon = {}
-    for v in g.vertices:
-        hs = []
-        for eid, side in g.ribbon[v]:
-            hs.extend((cid, side) for cid in _copy_ids(g, eid))
-        ribbon[v] = tuple(hs)
-    hat = WeightedMultigraph.build(g.vertices, edges, ribbon=ribbon)
-    return HatGraph(graph=hat, copy_of=copy_of)
+        w = g.edge_weight[e.id]
+        ids = [e.id] if w == 1 else [f"{e.id}#{i}" for i in range(1, w + 1)]
+        pieces[e.id] = [(cid, e.ends, 1) for cid in ids]
+        copy_of.update((cid, (e.id, i)) for i, cid in enumerate(ids, start=1))
+    return HatGraph(graph=_replace_edges(g, pieces, g.vertices, None),
+                    copy_of=copy_of)
 
 
 # -- rewrites -------------------------------------------------------------
@@ -299,6 +304,15 @@ def _fresh_id(taken, stem):
     while f"{stem}{k}" in taken:
         k += 1
     return f"{stem}{k}"
+
+
+def _fresh_ids(taken, stems):
+    """A fresh id per stem, each added to the set `taken` in turn."""
+    ids = []
+    for stem in stems:
+        ids.append(_fresh_id(taken, stem))
+        taken.add(ids[-1])
+    return ids
 
 
 def add_leaf(g, v, leaf_weight=1, edge_weight=1):
@@ -337,31 +351,10 @@ def split_edge(g, eid, parts):
                     f"part weight {p} is not divisible by the weight of {v!r}")
     if len(parts) == 1:
         return g
-    taken = {x.id for x in g.edges}
-    new_ids = []
-    for k in range(1, len(parts) + 1):
-        nid = _fresh_id(taken, f"{eid}.{k}")
-        taken.add(nid)
-        new_ids.append(nid)
-    edges = []
-    for x in g.edges:
-        if x.id == eid:
-            edges.extend((nid, e.ends) for nid in new_ids)
-        else:
-            edges.append((x.id, x.ends))
-    ew = {i: w for i, w in g.edge_weight.items() if i != eid}
-    ew.update(dict(zip(new_ids, parts)))
-    ribbon = {}
-    for v in g.vertices:
-        hs = []
-        for hid, side in g.ribbon[v]:
-            if hid == eid:
-                hs.extend((nid, side) for nid in new_ids)
-            else:
-                hs.append((hid, side))
-        ribbon[v] = tuple(hs)
-    return WeightedMultigraph.build(g.vertices, edges, dict(g.vertex_weight),
-                                    ew, ribbon)
+    ids = _fresh_ids({x.id for x in g.edges},
+                     [f"{eid}.{k}" for k in range(1, len(parts) + 1)])
+    pieces = {eid: [(nid, e.ends, p) for nid, p in zip(ids, parts)]}
+    return _replace_edges(g, pieces, g.vertices, dict(g.vertex_weight))
 
 
 def shrink_vertex_weight(g, v, new_weight):
@@ -384,8 +377,9 @@ class SplitPlan:
 
     For a non-loop edge at v: a list of (copy_index, weight) parts.
     For a loop at v: a list of ((copy_index, copy_index), weight) parts.
-    Part weights must sum to the original edge weight.  This data comes
-    from the caller; the graph alone does not determine it.
+    Copy indices are ints in 0..r-1.  Part weights must sum to the
+    original edge weight.  This data comes from the caller; the graph
+    alone does not determine it.
     """
     parts: dict
 
@@ -394,10 +388,6 @@ class SplitPlan:
 class VertexSplitMap:
     """Records old vertex -> its copies for a split_vertex rewrite."""
     copies: dict  # every old vertex maps to a tuple of new vertices
-    old_weight: dict
-
-    def ratio(self, v):
-        return len(self.copies[v])
 
 
 def split_vertex(g, v, r, plan: SplitPlan):
@@ -406,105 +396,48 @@ def split_vertex(g, v, r, plan: SplitPlan):
         raise GraphInputError(f"unknown vertex {v!r}")
     if not is_int(r) or r < 1 or g.vertex_weight[v] % r:
         raise PreconditionError("number of copies must divide the vertex weight")
+    copies = {u: (u,) for u in g.vertices}
     if r == 1:
-        return g, VertexSplitMap({u: (u,) for u in g.vertices},
-                                 dict(g.vertex_weight))
-    incident = {e.id for e in g.edges if v in e.ends}
-    if set(plan.parts) != incident:
+        return g, VertexSplitMap(copies)
+    incident = [e for e in g.edges if v in e.ends]
+    if set(plan.parts) != {e.id for e in incident}:
         raise PreconditionError("plan must cover exactly the edges at the split vertex")
-    taken_v = set(g.vertices)
-    new_names = []
-    for j in range(1, r + 1):
-        name = _fresh_id(taken_v, f"{v}_{j}")
-        taken_v.add(name)
-        new_names.append(name)
-    vertices = []
-    for u in g.vertices:
-        if u == v:
-            vertices.extend(new_names)
-        else:
-            vertices.append(u)
-    vw = {u: w for u, w in g.vertex_weight.items() if u != v}
-    for name in new_names:
-        vw[name] = g.vertex_weight[v] // r
+    names = _fresh_ids(set(g.vertices), [f"{v}_{j}" for j in range(1, r + 1)])
 
-    taken_e = {e.id for e in g.edges}
-    new_edges = {}       # old eid -> list of (new id, ends, weight)
-    for e in g.edges:
-        if e.id not in incident:
-            continue
+    def copy(c):
+        if not is_int(c) or not 0 <= c < r:
+            raise PreconditionError("plan copy index out of range")
+        return names[c]
+
+    taken = {e.id for e in g.edges}
+    pieces = {}
+    for e in incident:
         parts = list(plan.parts[e.id])
-        if not parts or sum(p[-1] for p in parts) != g.edge_weight[e.id]:
+        if any(not is_int(w) for _, w in parts):
+            raise PreconditionError("plan part weights must be positive integers")
+        if not parts or sum(w for _, w in parts) != g.edge_weight[e.id]:
             raise PreconditionError(
                 f"plan parts for edge {e.id!r} must sum to its weight")
-        pieces = []
-        ids = [e.id] if len(parts) == 1 else None
-        if ids is None:
-            ids = []
-            for k in range(1, len(parts) + 1):
-                nid = _fresh_id(taken_e, f"{e.id}.{k}")
-                taken_e.add(nid)
-                ids.append(nid)
-        for nid, part in zip(ids, parts):
-            if e.is_loop:
-                (ci, cj), w = part
-                ends = (new_names[ci], new_names[cj])
+        ids = [e.id] if len(parts) == 1 else _fresh_ids(
+            taken, [f"{e.id}.{k}" for k in range(1, len(parts) + 1)])
+        pieces[e.id] = []
+        for nid, (c, w) in zip(ids, parts):
+            if not e.is_loop:
+                ends = tuple(copy(c) if x == v else x for x in e.ends)
+            elif isinstance(c, (tuple, list)) and len(c) == 2:
+                ends = (copy(c[0]), copy(c[1]))
             else:
-                ci, w = part
-                if not 0 <= ci < r:
-                    raise PreconditionError("plan copy index out of range")
-                if e.ends[0] == v:
-                    ends = (new_names[ci], e.ends[1])
-                else:
-                    ends = (e.ends[0], new_names[ci])
-            if not is_int(w) or w < 1:
+                raise PreconditionError(
+                    f"plan parts for loop {e.id!r} need a pair of copy indices")
+            if w < 1:
                 raise PreconditionError("plan part weights must be positive integers")
-            pieces.append((nid, ends, w))
-        new_edges[e.id] = pieces
+            pieces[e.id].append((nid, ends, w))
 
-    edges = []
-    ew = {}
-    for e in g.edges:
-        if e.id in new_edges:
-            for nid, ends, w in new_edges[e.id]:
-                edges.append((nid, ends))
-                ew[nid] = w
-        else:
-            edges.append((e.id, e.ends))
-            ew[e.id] = g.edge_weight[e.id]
-
-    # ribbons: other endpoints get the pieces consecutively at the old spot;
-    # each copy's ribbon follows the traversal order of v's old ribbon
-    ribbon = {}
-    copy_ribbons = {name: [] for name in new_names}
-    for eid, side in g.ribbon[v]:
-        e = g.edge(eid)
-        if e.is_loop:
-            for nid, ends, _ in new_edges[eid]:
-                target = ends[side]
-                copy_ribbons[target].append((nid, side))
-        else:
-            for nid, ends, _ in new_edges[eid]:
-                pos = 0 if ends[0] in new_names else 1
-                copy_ribbons[ends[pos]].append((nid, pos))
-    for u in g.vertices:
-        if u == v:
-            continue
-        hs = []
-        for eid, side in g.ribbon[u]:
-            if eid in new_edges:
-                for nid, ends, _ in new_edges[eid]:
-                    pos = side if g.edge(eid).is_loop else (0 if ends[0] == u else 1)
-                    hs.append((nid, pos))
-            else:
-                hs.append((eid, side))
-        ribbon[u] = tuple(hs)
-    for name in new_names:
-        ribbon[name] = tuple(copy_ribbons[name])
-
-    out = WeightedMultigraph.build(vertices, edges, vw, ew, ribbon)
+    copies[v] = tuple(names)
+    out = _replace_edges(
+        g, pieces, [x for u in g.vertices for x in copies[u]],
+        {x: g.vertex_weight[u] // len(copies[u])
+         for u in g.vertices for x in copies[u]})
     if not is_pleasant(out):
         raise PreconditionError("split plan breaks pleasantness")
-    copies = {u: (u,) for u in g.vertices if u != v}
-    copies[v] = tuple(new_names)
-    return out, VertexSplitMap(copies, dict(g.vertex_weight))
+    return out, VertexSplitMap(copies)

@@ -217,13 +217,13 @@ def test_tour_covers_from_root(four_edge_pleasant):
 def test_tour_forest_disconnected(triangle):
     # two copies of the triangle; the second is toured from a non-default
     # root and start, and matches touring it on its own
+    second = [("x", ("w1", "w2")), ("y", ("w1", "w3")), ("z", ("w2", "w3"))]
     two = WeightedMultigraph.build(
         [*triangle.vertices, "w1", "w2", "w3"],
-        [(e.id, e.ends) for e in triangle.edges]
-        + [("x", ("w1", "w2")), ("y", ("w1", "w3")), ("z", ("w2", "w3"))])
+        [(e.id, e.ends) for e in triangle.edges] + second)
     O = tour_forest(two, ("a", "b", "x", "z"), roots=("w2",),
                     starts={"w2": "z"})
-    alone = two.subgraph(("w1", "w2", "w3"))
+    alone = WeightedMultigraph.build(["w1", "w2", "w3"], second)
     assert O.direction == {
         **tour_forest(triangle, ("a", "b")).direction,
         **tour_forest(alone, ("x", "z"), ("w2",), {"w2": "z"}).direction}

@@ -266,6 +266,53 @@ def test_malformed_input_exits_1(tmp_path, capsys, command, files, extra):
         assert "potential mentions" in err
 
 
+def test_potential_missing_a_vertex_exits_1(tmp_path, capsys):
+    g = {"vertices": [{"id": "u"}, {"id": "v"}],
+         "edges": [{"id": "e", "ends": ["u", "v"]}]}
+    code, out, err = _run(capsys, "laplacian",
+                          "--graph", _write(tmp_path, "g.json", g),
+                          "--divisor", _write(tmp_path, "f.json",
+                                              {"potential": {"v": 1}}))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "undefined" in err
+
+
+# v (weight 2) with a weight-2 loop l and a weight-2 edge e to u
+SPLIT_G = {"vertices": [{"id": "v", "weight": 2}, {"id": "u"}],
+           "edges": [{"id": "l", "ends": ["v", "v"], "weight": 2},
+                     {"id": "e", "ends": ["v", "u"], "weight": 2}]}
+LOOP_OK = [[[0, 1], 2]]
+EDGE_OK = [[0, 1], [1, 1]]
+
+
+def _plan(loop, edge, code, id):
+    return pytest.param({"parts": {"l": loop, "e": edge}}, code, id=id)
+
+
+@pytest.mark.parametrize("plan, code", [
+    _plan(LOOP_OK, EDGE_OK, 0, "well-formed"),
+    _plan([[[-1, 0], 2]], EDGE_OK, 2, "loop-copy-negative"),
+    _plan(LOOP_OK, [[True, 1], [1, 1]], 2, "copy-true"),
+    _plan([[[5, 0], 2]], EDGE_OK, 2, "loop-copy-above-r"),
+    _plan(LOOP_OK, [["x", 1], [1, 1]], 2, "copy-string"),
+    _plan([[0, 2]], EDGE_OK, 2, "loop-copy-not-a-pair"),
+    _plan(LOOP_OK, [[0, "x"], [1, 1]], 2, "weight-string"),
+    _plan(LOOP_OK, [[0], [1, 1]], 1, "part-without-weight"),
+    _plan([[[0, 1, 1], 2]], EDGE_OK, 1, "loop-copy-triple"),
+    pytest.param({"parts": [["e", 0, 2]]}, 1, id="parts-list"),
+])
+def test_split_vertex_plans(tmp_path, capsys, plan, code):
+    got, out, err = _run(capsys, "rewrite",
+                         "--graph", _write(tmp_path, "g.json", SPLIT_G),
+                         "split-vertex", "--vertex", "v", "--copies", "2",
+                         "--plan", _write(tmp_path, "p.json", plan))
+    assert got == code and "Traceback" not in err
+    if code:
+        assert out == "" and err.startswith("error: ")
+    if code == 1:
+        assert "malformed split plan" in err
+
+
 def test_graph_json_round_trip(tw_file):
     g = serialize.graph_from_obj(TW_OBJ)
     assert serialize.graph_from_obj(serialize.graph_to_obj(g)) == g

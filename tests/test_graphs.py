@@ -1,7 +1,7 @@
 import pytest
 
 from chipfire import (GraphInputError, PreconditionError, SplitPlan,
-                      WeightedMultigraph, add_leaf, expand_hat, pic0_structure,
+                      WeightedMultigraph, serialize, add_leaf, expand_hat, pic0_structure,
                       picb0_structure, count_picb0, shrink_vertex_weight,
                       split_edge, split_vertex, validate, weighted_genus)
 from chipfire.trees import enumerate_trees
@@ -157,3 +157,69 @@ def test_split_vertex_rejects_bad_plans(tw):
         split_vertex(tw, "v1", 2, SplitPlan({"a": [(0, 2)]}))  # misses b
     with pytest.raises(PreconditionError):
         split_vertex(tw, "v1", 2, SplitPlan({"a": [(0, 1)], "b": [(0, 2)]}))
+
+
+# The rewrites' ribbons, pinned: pieces of an edge sit one after another at
+# each old half-edge, and a split vertex's copies take theirs in the order
+# of its old ribbon.
+
+def _obj(vertices, edges, ribbon):
+    return {"vertices": [{"id": v, "weight": 1} for v in vertices],
+            "edges": [{"id": eid, "ends": list(ends), "weight": 1}
+                      for eid, ends in edges],
+            "ribbon": ribbon}
+
+
+def test_split_edge_ribbon_of_a_loop():
+    g = WeightedMultigraph.build(
+        ["v", "u"], [("l", ("v", "v")), ("e", ("v", "u"))], None, {"l": 2},
+        {"v": [("l", 0), ("e", 0), ("l", 1)], "u": [("e", 1)]})
+    assert serialize.graph_to_obj(split_edge(g, "l", [1, 1])) == _obj(
+        ["v", "u"], [("l.1", "vv"), ("l.2", "vv"), ("e", "vu")],
+        {"v": ["l.1:0", "l.2:0", "e", "l.1:1", "l.2:1"], "u": ["e"]})
+
+
+def test_split_vertex_ribbons():
+    g = WeightedMultigraph.build(
+        ["v", "u", "w"],
+        [("l", ("v", "v")), ("e", ("v", "u")), ("f", ("u", "w")),
+         ("h", ("u", "w"))],
+        {"v": 2}, {"l": 2, "e": 2},
+        {"v": [("l", 0), ("e", 0), ("l", 1)],
+         "u": [("f", 0), ("e", 1), ("h", 0)], "w": [("f", 1), ("h", 1)]})
+    plan = SplitPlan({"l": [((0, 1), 1), ((1, 1), 1)], "e": [(0, 1), (1, 1)]})
+    out, vmap = split_vertex(g, "v", 2, plan)
+    assert serialize.graph_to_obj(out) == _obj(
+        ["v_1", "v_2", "u", "w"],
+        [("l.1", ("v_1", "v_2")), ("l.2", ("v_2", "v_2")),
+         ("e.1", ("v_1", "u")), ("e.2", ("v_2", "u")), ("f", "uw"),
+         ("h", "uw")],
+        {"v_1": ["l.1", "e.1"], "v_2": ["l.2:0", "e.2", "l.1", "l.2:1"],
+         "u": ["f", "e.1", "e.2", "h"], "w": ["f", "h"]})
+    assert vmap.copies == {"v": ("v_1", "v_2"), "u": ("u",), "w": ("w",)}
+
+
+def test_expand_hat_ribbon_of_a_loop():
+    g = WeightedMultigraph.build(
+        ["v", "u"], [("l", ("v", "v")), ("e", ("v", "u"))], None, {"l": 2})
+    hat = expand_hat(g)
+    assert serialize.graph_to_obj(hat.graph) == _obj(
+        ["v", "u"], [("l#1", "vv"), ("l#2", "vv"), ("e", "vu")],
+        {"v": ["l#1:0", "l#2:0", "l#1:1", "l#2:1", "e"], "u": ["e"]})
+    assert hat.copy_of == {"l#1": ("l", 1), "l#2": ("l", 2), "e": ("e", 1)}
+
+
+def test_expand_hat_ribbon_of_two_components():
+    g = WeightedMultigraph.build(
+        ["a", "b", "c", "x", "y"],
+        [("p", "ab"), ("q", "ac"), ("r", "bc"), ("s", "xy"), ("t", "xy")],
+        None, {"p": 2, "s": 3},
+        {"a": [("q", 0), ("p", 0)], "b": [("p", 1), ("r", 0)],
+         "c": [("r", 1), ("q", 1)], "x": [("t", 0), ("s", 0)],
+         "y": [("s", 1), ("t", 1)]})
+    assert serialize.graph_to_obj(expand_hat(g).graph) == _obj(
+        ["a", "b", "c", "x", "y"],
+        [("p#1", "ab"), ("p#2", "ab"), ("q", "ac"), ("r", "bc"),
+         ("s#1", "xy"), ("s#2", "xy"), ("s#3", "xy"), ("t", "xy")],
+        {"a": ["q", "p#1", "p#2"], "b": ["p#1", "p#2", "r"], "c": ["r", "q"],
+         "x": ["t", "s#1", "s#2", "s#3"], "y": ["s#1", "s#2", "s#3", "t"]})
