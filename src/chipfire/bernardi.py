@@ -180,11 +180,15 @@ def tour_forest(g, forest, roots=None, starts=None):
     """Orient all edges by touring the forest's tree in each component from
     its root and start (see `resolve_roots`)."""
     forest = tuple(forest)
+    _require_maximal(g, forest)
+    _, starts = resolve_roots(g, roots, starts)
+    return Orientation(_orient(g, forest, starts))
+
+
+def _require_maximal(g, forest):
     if not is_maximal_forest(g, forest):
         raise PreconditionError(
             "forest must restrict to a spanning tree on each component")
-    _, starts = resolve_roots(g, roots, starts)
-    return Orientation(_orient(g, forest, starts))
 
 
 def _orient(g, forest, starts):
@@ -300,9 +304,11 @@ def _keyed_subweightings(g, system, starts):
 
 def tree_divisor(g, ts: SubweightedTree) -> Divisor:
     """The degree g-1 divisor attached to a sub-weighted forest: the
-    per-tree path, with its own tour (`enumerate_subweightings` and
-    `reduce` tour each forest once for all its sigma)."""
-    orient = tour_forest(g, ts.forest_edges, ts.roots, ts.starts).direction
+    per-tree path, with its own tour from the tree's resolved starts
+    (`enumerate_subweightings` and `reduce` tour each forest once for all
+    its sigma)."""
+    _require_maximal(g, ts.forest_edges)
+    orient = _orient(g, ts.forest_edges, ts.starts)
     out = {v: -g.vertex_weight[v] for v in g.vertices}
     for e in g.edges:
         w = g.edge_weight[e.id]
@@ -319,33 +325,50 @@ def tree_divisor(g, ts: SubweightedTree) -> Divisor:
 # -- hat-graph correspondence ---------------------------------------------
 
 
-def hat_tree_to_pair(g, hat, hatT) -> SubweightedTree:
-    """Spanning tree of the expanded graph -> sub-weighted tree of g."""
+def hat_pairs(g, hat, hat_trees):
+    """(sub-weighted tree of g, tour orientation of the hat tree) for each
+    maximal spanning forest of the hat graph, touring each once from the
+    hat graph's default roots and starts; the trees of g take g's.  Raises
+    PreconditionError on a hat forest that is not maximal."""
     hat_g = hat.graph
-    hatT = set(hatT)
-    orient = tour_forest(hat_g, hatT).direction
     copies = {}
     for cid, (eid, _i) in hat.copy_of.items():
         copies.setdefault(eid, []).append(cid)
-    forest = []
-    sigma = {}
-    for e in g.edges:
-        cs = copies[e.id]
-        in_tree = [c for c in cs if c in hatT]
-        if in_tree:
-            forest.append(e.id)
-            ref = orient[in_tree[0]]
-            sigma[e.id] = sum(1 for c in cs if orient[c] == ref)
-        else:
-            sigma[e.id] = g.edge_weight[e.id]
-            if not e.is_loop:
-                dirs = {orient[c] for c in cs}
-                # the correspondence presumes parallel non-tree copies agree
-                if len(dirs) != 1:
-                    raise AssertionError(
-                        f"copies of non-tree edge {e.id!r} received mixed "
-                        f"directions {sorted(dirs)}; correspondence assumption violated")
-    return SubweightedTree(tuple(forest), sigma, *resolve_roots(g))
+    roots, starts = resolve_roots(g)
+    _, hat_starts = resolve_roots(hat_g)
+    out = []
+    for hatT in hat_trees:
+        hatT = set(hatT)
+        _require_maximal(hat_g, hatT)
+        orient = _orient(hat_g, hatT, hat_starts)
+        forest = []
+        sigma = {}
+        for e in g.edges:
+            cs = copies[e.id]
+            in_tree = [c for c in cs if c in hatT]
+            if in_tree:
+                forest.append(e.id)
+                ref = orient[in_tree[0]]
+                sigma[e.id] = sum(1 for c in cs if orient[c] == ref)
+            else:
+                sigma[e.id] = g.edge_weight[e.id]
+                if not e.is_loop:
+                    dirs = {orient[c] for c in cs}
+                    # the correspondence presumes parallel non-tree copies agree
+                    if len(dirs) != 1:
+                        raise AssertionError(
+                            f"copies of non-tree edge {e.id!r} received mixed "
+                            f"directions {sorted(dirs)}; correspondence "
+                            "assumption violated")
+        out.append((SubweightedTree(tuple(forest), sigma, roots, starts),
+                    Orientation(orient)))
+    return out
+
+
+def hat_tree_to_pair(g, hat, hatT) -> SubweightedTree:
+    """Spanning tree of the expanded graph -> sub-weighted tree of g."""
+    [(ts, _orientation)] = hat_pairs(g, hat, [hatT])
+    return ts
 
 
 def hat_reference_shift(g) -> Divisor:

@@ -7,6 +7,7 @@ precondition violations.  Identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -212,7 +213,10 @@ def _cmd_selfcheck(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and reused: parse_args keeps
+    no state between calls."""
     parser = _Parser(prog="chipfire",
                      description="Chip-firing toolkit for weighted multigraphs")
     sub = parser.add_subparsers(dest="command", required=True,

@@ -63,7 +63,7 @@ def dual_graph(f: SpecialFiberDescription) -> WeightedMultigraph:
     for node, ends, deg in f.nodes:
         if not is_int(deg) or deg < 1:
             raise GraphInputError(f"node {node!r} must have a positive residue degree")
-        for comp in set(ends):
+        for comp in dict.fromkeys(ends):
             if comp not in index:
                 raise GraphInputError(f"node {node!r} touches unknown component {comp!r}")
             if deg % index[comp]:
@@ -134,13 +134,17 @@ class InjectivityReport:
     witness: tuple | None  # (D1, D2) with distinct old classes mapping together
 
 
-def check_base_change_injectivity(old_g, new_g, correspondence=None) -> InjectivityReport:
+def check_base_change_injectivity(old_g, new_g, correspondence=None,
+                                  reps=None) -> InjectivityReport:
     """Brute-force check that the induced map on balanced Jacobians is injective.
 
     `correspondence` is a VertexSplitMap for vertex splits, or None when the
-    vertex sets agree (edge split, weight shrink).
+    vertex sets agree (edge split, weight shrink).  `reps` is one balanced
+    degree-0 divisor per class of old_g, if the caller has enumerated them.
     """
-    reps = enumerate_coset_representatives_bruteforce(old_g, 0, balanced_only=True)
+    if reps is None:
+        reps = enumerate_coset_representatives_bruteforce(
+            old_g, 0, balanced_only=True)
     if correspondence is None:
         images = list(reps)
     else:

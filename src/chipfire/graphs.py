@@ -211,7 +211,7 @@ def validate(g: WeightedMultigraph) -> ValidationReport:
     """Check pleasantness (vertex weights divide incident edge weights)."""
     issues = []
     for e in g.edges:
-        for v in set(e.ends):
+        for v in dict.fromkeys(e.ends):
             if g.edge_weight[e.id] % g.vertex_weight[v]:
                 issues.append(
                     f"edge {e.id!r} has weight {g.edge_weight[e.id]}, "
@@ -345,7 +345,7 @@ def split_edge(g, eid, parts):
     if sum(parts) != g.edge_weight[eid]:
         raise PreconditionError("parts must sum to the weight of the split edge")
     for p in parts:
-        for v in set(e.ends):
+        for v in dict.fromkeys(e.ends):
             if p % g.vertex_weight[v]:
                 raise PreconditionError(
                     f"part weight {p} is not divisible by the weight of {v!r}")

@@ -6,6 +6,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import intlinalg
 from .divisors import (Divisor, LaplacianSystem, reduced_laplacian,
@@ -93,11 +94,16 @@ def balanced_divisor_of_degree(g, d):
     return Divisor.from_vector(g, [q * ai * w for ai, w in zip(a, weights)])
 
 
-def enumerate_coset_representatives_bruteforce(g, d, balanced_only=False):
+def enumerate_coset_representatives_bruteforce(g, d, balanced_only=False,
+                                               system=None):
     """One divisor per chip-firing class in degree d (balanced classes only
     if requested), by closing a base divisor under translation generators.
 
-    Deterministic breadth-first order.  Connected graphs only.
+    Deterministic breadth-first order.  Connected graphs only.  `system` is
+    g's LaplacianSystem if the caller has one.  The generators have degree
+    0, and the key part X D_r mod e is linear, so a neighbour's key is the
+    current key plus the signed generator's key mod e; a neighbour's vector
+    is built only when its key is new.
     """
     if not g.is_connected():
         raise PreconditionError("brute-force enumeration requires a connected graph")
@@ -115,17 +121,21 @@ def enumerate_coset_representatives_bruteforce(g, d, balanced_only=False):
             col[0] = 1
             col[i] = -1
             gens.append(col)
-    sys = LaplacianSystem(g)
+    if system is None:
+        system = LaplacianSystem(g)
+    e = system.e
+    steps = [(step, system.vector_key(step)[1])
+             for gen in gens for step in (gen, [-x for x in gen])]
     start = tuple(base.vector(g))
-    seen = {sys.vector_key(start): start}
-    queue = deque([start])
+    key = system.vector_key(start)[1]
+    seen = {key: start}
+    queue = deque([(start, key)])
     while queue:
-        cur = queue.popleft()
-        for gen in gens:
-            for sgn in (1, -1):
-                nxt = tuple(c + sgn * x for c, x in zip(cur, gen))
-                key = sys.vector_key(nxt)
-                if key not in seen:
-                    seen[key] = nxt
-                    queue.append(nxt)
+        cur, key = queue.popleft()
+        for step, step_key in steps:
+            nxt_key = tuple([(a + b) % e for a, b in zip(key, step_key)])
+            if nxt_key not in seen:
+                nxt = tuple(map(add, cur, step))
+                seen[nxt_key] = nxt
+                queue.append((nxt, nxt_key))
     return [Divisor.from_vector(g, list(vec)) for vec in seen.values()]

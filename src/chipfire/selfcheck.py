@@ -19,8 +19,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import bernardi, intlinalg, picard, trees
-from .divisors import (Divisor, chip_fire, degree, equivalent,
-                       is_balanced, laplacian)
+from .divisors import (Divisor, LaplacianSystem, chip_fire, degree,
+                       equivalent, is_balanced, laplacian)
 from .family import pleasant_family
 from .fibers import (SpecialFiberDescription, balanced_representatives,
                      check_base_change_injectivity, component_group)
@@ -193,9 +193,13 @@ def sweep_family(family=None) -> dict:
             wprod *= g.vertex_weight[v]
         if count * vertex_gcd(g) != countb * wprod:
             bad("matrix-tree", g, "quotient |Pic0|/|Picb0| != prod(w)/gcd(w)")
-        reps = picard.enumerate_coset_representatives_bruteforce(g, 0)
+        # the two closures share one system of their own; the structures
+        # above and the reducer below each factor the Laplacian themselves
+        bfs_system = LaplacianSystem(g)
+        reps = picard.enumerate_coset_representatives_bruteforce(
+            g, 0, system=bfs_system)
         repsb = picard.enumerate_coset_representatives_bruteforce(
-            g, 0, balanced_only=True)
+            g, 0, balanced_only=True, system=bfs_system)
         if len(reps) != count or len(repsb) != countb:
             bad("matrix-tree", g,
                 f"brute-force counts {len(reps)}/{len(repsb)} vs {count}/{countb}")
@@ -240,21 +244,22 @@ def sweep_family(family=None) -> dict:
             bad("hat", g, f"{len(hat_trees)} hat trees vs count {count}")
         seen_pairs = set()
         hat_ok = True
-        for hatT in hat_trees:
-            try:
-                ts = bernardi.hat_tree_to_pair(g, hat, hatT)
-            except AssertionError as exc:
-                bad("hat", g, str(exc))
-                hat_ok = False
-                break
+        try:
+            # one tour per hat tree gives both its pair and its divisor D_O;
+            # tree_divisor tours the pair on g separately
+            pairs = bernardi.hat_pairs(g, hat, hat_trees)
+        except AssertionError as exc:
+            bad("hat", g, str(exc))
+            pairs = []
+            hat_ok = False
+        for ts, O in pairs:
             pair_key = ts.key()
             if pair_key in seen_pairs:
                 bad("hat", g, f"hat tree map not injective at {pair_key}")
                 hat_ok = False
                 break
             seen_pairs.add(pair_key)
-            DO = bernardi.orientation_divisor(
-                hat.graph, bernardi.tour_forest(hat.graph, hatT))
+            DO = bernardi.orientation_divisor(hat.graph, O)
             if (bernardi.tree_divisor(g, ts).vector(g)
                     != (DO - shift).vector(g)):
                 bad("hat", g, "hat shift identity failed")
@@ -297,7 +302,7 @@ def sweep_family(family=None) -> dict:
         heavy = [v for v in g.vertices if g.vertex_weight[v] > 1]
         if heavy:
             shrunk = shrink_vertex_weight(g, heavy[0], 1)
-            rep = check_base_change_injectivity(g, shrunk, None)
+            rep = check_base_change_injectivity(g, shrunk, None, repsb)
             stats.shrink_checks += 1
             if not rep.injective:
                 bad("invariance", g, f"shrink injectivity witness {rep.witness}")
@@ -309,7 +314,7 @@ def sweep_family(family=None) -> dict:
             if plan is None:
                 continue
             gv, vmap = split_vertex(g, v, r, plan)
-            rep = check_base_change_injectivity(g, gv, vmap)
+            rep = check_base_change_injectivity(g, gv, vmap, repsb)
             stats.vertex_split_checks += 1
             if not rep.injective:
                 bad("invariance", g, f"vertex split witness {rep.witness}")

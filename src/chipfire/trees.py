@@ -17,10 +17,22 @@ def _find(parent, x):
     return x
 
 
+def _forest_index(g):
+    """Edge id -> (end index, end index) in vertex order, and the size of a
+    maximal spanning forest; built once per graph and cached on it."""
+    cached = g.__dict__.get("_forest_index")
+    if cached is None:
+        at = {v: i for i, v in enumerate(g.vertices)}
+        cached = ({e.id: (at[e.ends[0]], at[e.ends[1]]) for e in g.edges},
+                  g.n - len(g.components()))
+        object.__setattr__(g, "_forest_index", cached)
+    return cached
+
+
 def enumerate_forests(g):
     """All maximal spanning forests as tuples of edge ids."""
-    target = g.n - len(g.components())
-    candidates = [e for e in g.edges if not e.is_loop]
+    ends_of, target = _forest_index(g)
+    candidates = [(e.id, *ends_of[e.id]) for e in g.edges if not e.is_loop]
     out = []
     chosen = []
 
@@ -29,17 +41,17 @@ def enumerate_forests(g):
             out.append(tuple(chosen))
             return
         for k in range(start, len(candidates)):
-            e = candidates[k]
-            ra, rb = _find(parent, e.ends[0]), _find(parent, e.ends[1])
+            eid, a, b = candidates[k]
+            ra, rb = _find(parent, a), _find(parent, b)
             if ra == rb:
                 continue
-            child = dict(parent)
+            child = parent[:]
             child[ra] = rb
-            chosen.append(e.id)
+            chosen.append(eid)
             rec(k + 1, child, count + 1)
             chosen.pop()
 
-    rec(0, {v: v for v in g.vertices}, 0)
+    rec(0, list(range(g.n)), 0)
     return out
 
 
@@ -51,21 +63,19 @@ def enumerate_trees(g):
 
 
 def is_maximal_forest(g, edge_ids):
+    """Whether the ids name distinct edges of g that form a maximal spanning
+    forest.  Raises TypeError on an unhashable id."""
+    ends_of, target = _forest_index(g)
     ids = list(edge_ids)
-    if len(set(ids)) != len(ids):
+    if len(set(ids)) != len(ids) or len(ids) != target:
         return False
-    known = {e.id for e in g.edges}
-    if any(i not in known for i in ids):
-        return False
-    if len(ids) != g.n - len(g.components()):
-        return False
-    parent = {v: v for v in g.vertices}
+    parent = list(range(g.n))
     for eid in ids:
-        e = g.edge(eid)
-        if e.is_loop:
+        ends = ends_of.get(eid)
+        if ends is None:
             return False
-        ra, rb = _find(parent, e.ends[0]), _find(parent, e.ends[1])
-        if ra == rb:
+        ra, rb = _find(parent, ends[0]), _find(parent, ends[1])
+        if ra == rb:  # a loop or a cycle
             return False
         parent[ra] = rb
     return True

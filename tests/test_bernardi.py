@@ -120,6 +120,22 @@ def test_hat_correspondence_tw(tw):
     assert len(pairs) == 8
 
 
+@pytest.mark.parametrize("name", ["tw", "four_edge_pleasant"])
+def test_hat_pairs_share_the_tour_orientation(name, request):
+    # criterion 6 reads D_O off the orientation that built the pair
+    g = request.getfixturevalue(name)
+    hat = expand_hat(g)
+    hat_trees = enumerate_forests(hat.graph)
+    pairs = bernardi.hat_pairs(g, hat, hat_trees)
+    assert len(pairs) == len(hat_trees)
+    for hatT, (ts, O) in zip(hat_trees, pairs):
+        assert O.direction == tour_forest(hat.graph, hatT).direction
+        assert ts == hat_tree_to_pair(g, hat, hatT)
+        assert ts == SubweightedTree.build(g, ts.forest_edges, ts.sigma)
+    with pytest.raises(PreconditionError):
+        bernardi.hat_pairs(g, hat, [hat_trees[0][1:]])
+
+
 def test_hat_tree_copy_choice_sweeps_sigma(tw):
     # fixing the rest of the tree, the chosen copy of edge "a" determines sigma
     hat = expand_hat(tw)

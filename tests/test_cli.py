@@ -1,7 +1,10 @@
 import itertools
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +164,44 @@ def test_exit_codes(tw_file, tmp_path, capsys):
     # unknown subcommand -> 1
     code, _, _ = _run(capsys, "frobnicate")
     assert code == 1
+
+
+def test_reused_parser_keeps_usage_errors_and_help(tw_file, capsys):
+    # the parser is built once per process; earlier calls leave no trace
+    helps = []
+    for _ in range(2):
+        code, _, err = _run(capsys, "count", "--graph", tw_file, "--pic0",
+                            "--picb0")
+        assert code == 1 and "not allowed with argument" in err
+        code, _, err = _run(capsys, "rewrite", "--graph", tw_file)
+        assert code == 1 and "required" in err
+        code, out, _ = _run(capsys, "count", "--graph", tw_file)
+        assert code == 0 and out == "8\n"
+        code, out, _ = _run(capsys, "rewrite", "--help")
+        assert code == 0
+        helps.append(out)
+    assert helps[0] == helps[1] and helps[0].startswith("usage: chipfire rewrite")
+
+
+def test_validate_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # one edge, two issues: their order must follow the edge's ends
+    path = _write(tmp_path, "g.json", {
+        "vertices": [{"id": "p", "weight": 2}, {"id": "q", "weight": 2}],
+        "edges": [{"id": "e", "ends": ["p", "q"], "weight": 3}]})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "chipfire.cli", "validate", "--graph", path],
+            capture_output=True, text=True, env=env, check=False, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    issues = json.loads(outs[0])["issues"]
+    assert len(issues) == 2 and "'p'" in issues[0] and "'q'" in issues[1]
 
 
 def test_act_needs_degree_zero_on_each_component(tmp_path, capsys):

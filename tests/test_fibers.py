@@ -5,8 +5,9 @@ import pytest
 from chipfire import (Divisor, GraphInputError, PreconditionError,
                       SpecialFiberDescription, SplitPlan, WeightedMultigraph,
                       check_base_change_injectivity, component_group,
-                      count_picb0, dual_graph, phi_note, psi_map,
-                      shrink_vertex_weight, split_edge, split_vertex,
+                      count_picb0, dual_graph,
+                      enumerate_coset_representatives_bruteforce, phi_note,
+                      psi_map, shrink_vertex_weight, split_edge, split_vertex,
                       tree_divisor, validate)
 
 
@@ -141,3 +142,6 @@ def test_injectivity_vertex_split():
     out, vmap = split_vertex(tw, "v1", 2, plan)
     rep = check_base_change_injectivity(tw, out, vmap)
     assert rep.injective and rep.checked == 4
+    # the sweep hands in the representatives it has already enumerated
+    reps = enumerate_coset_representatives_bruteforce(tw, 0, balanced_only=True)
+    assert check_base_change_injectivity(tw, out, vmap, reps) == rep

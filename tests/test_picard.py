@@ -7,6 +7,7 @@ from chipfire import (Divisor, LaplacianSystem, PreconditionError,
                       WeightedMultigraph, count_pic0, count_picb0, degree,
                       enumerate_coset_representatives_bruteforce, equivalent,
                       is_balanced, laplacian, pic0_structure, picb0_structure)
+from chipfire.picard import balanced_divisor_of_degree
 from chipfire import intlinalg
 from chipfire.selfcheck import tree_sum
 
@@ -128,3 +129,60 @@ def test_random_pleasant_graphs():
         assert system.solve_potential(laplacian(g, f)) == {
             v: x - f[g.vertices[0]] for v, x in f.items()}
         assert system.class_key(D0) == system.class_key(D0 + laplacian(g, f))
+
+
+def _bfs_per_vector_keys(g, d, balanced_only):
+    """The coset closure keyed by a full `vector_key` of every neighbour:
+    the oracle of the incremental keys."""
+    system = LaplacianSystem(g)
+    if balanced_only:
+        base = balanced_divisor_of_degree(g, d)
+        if base is None:
+            return []
+        weights = [g.vertex_weight[v] for v in g.vertices]
+        gens = [[a * w for a, w in zip(vec, weights)]
+                for vec in intlinalg.gcd_basis(weights)[1:]]
+    else:
+        base = Divisor.from_vector(g, [d] + [0] * (g.n - 1))
+        gens = [[1 if j == 0 else -1 if j == i else 0 for j in range(g.n)]
+                for i in range(1, g.n)]
+    start = tuple(base.vector(g))
+    seen = {system.vector_key(start): start}
+    queue = [start]
+    for cur in queue:
+        for gen in gens:
+            for sgn in (1, -1):
+                nxt = tuple(c + sgn * x for c, x in zip(cur, gen))
+                key = system.vector_key(nxt)
+                if key not in seen:
+                    seen[key] = nxt
+                    queue.append(nxt)
+    return [Divisor.from_vector(g, list(vec)) for vec in seen.values()]
+
+
+def _small_random_pleasant(rng, n):
+    """Random spanning tree plus three random edges; vertex weights 1-2,
+    edge weights a multiple (1 or 2) of the lcm of their ends' weights."""
+    vw = [1] + [rng.randint(1, 2) for _ in range(n - 1)]
+    pairs = [(i, rng.randrange(i)) for i in range(1, n)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(3)]
+    return WeightedMultigraph.build(
+        [f"v{i}" for i in range(n)],
+        [(f"e{k}", (f"v{u}", f"v{v}")) for k, (u, v) in enumerate(pairs)],
+        {f"v{i}": w for i, w in enumerate(vw)},
+        {f"e{k}": math.lcm(vw[u], vw[v]) * rng.randint(1, 2)
+         for k, (u, v) in enumerate(pairs)})
+
+
+def test_incremental_coset_keys_match_per_vector_keys(tw, four_edge_pleasant):
+    rng = random.Random(11)
+    graphs = [tw, four_edge_pleasant] + [
+        _small_random_pleasant(rng, n) for n in (5, 6, 7, 6, 7)]
+    for g in graphs:
+        assert g.is_connected()
+        for balanced_only, count in ((False, count_pic0(g)),
+                                     (True, count_picb0(g))):
+            got = enumerate_coset_representatives_bruteforce(
+                g, 0, balanced_only=balanced_only)
+            assert got == _bfs_per_vector_keys(g, 0, balanced_only)
+            assert len(got) == count

@@ -1,7 +1,8 @@
 import pytest
 
-from chipfire import (PreconditionError, WeightedMultigraph, enumerate_forests,
-                      enumerate_trees, is_maximal_forest)
+from chipfire import (GraphInputError, PreconditionError, SubweightedTree,
+                      WeightedMultigraph, enumerate_forests, enumerate_trees,
+                      is_maximal_forest)
 
 
 def test_triangle_has_three_trees(triangle):
@@ -39,3 +40,24 @@ def test_is_maximal_forest_negatives(triangle):
     assert not is_maximal_forest(triangle, ("a", "a"))       # duplicate
     assert not is_maximal_forest(triangle, ("a", "zzz"))     # unknown edge
     assert is_maximal_forest(triangle, ("a", "b"))
+    g = WeightedMultigraph.build(
+        ["u", "v", "w", "x", "y"],
+        [("l", ("u", "u")), ("p", ("u", "v")), ("q", ("u", "v")),
+         ("r", ("v", "w")), ("s", ("x", "y"))])
+    assert is_maximal_forest(g, ("p", "r", "s"))
+    assert is_maximal_forest(g, ["s", "r", "q"])      # any order, any iterable
+    assert not is_maximal_forest(g, ("p", "p", "s"))  # duplicate
+    assert not is_maximal_forest(g, ("p", "r", "t"))  # unknown edge
+    assert not is_maximal_forest(g, ("l", "r", "s"))  # a loop
+    assert not is_maximal_forest(g, ("p", "q", "s"))  # a cycle of parallels
+    assert not is_maximal_forest(g, ("p", "r"))       # misses a component
+    assert not is_maximal_forest(g, ("p", "r", "s", "q"))  # too long
+    assert not is_maximal_forest(g, ())
+    with pytest.raises(TypeError):
+        is_maximal_forest(g, (["p"], "r", "s"))
+
+
+def test_build_maps_an_unhashable_id_to_input_error(tw):
+    for forest in ((["a"], "b"), (["a"],), ({"a": 1}, "b", "c")):
+        with pytest.raises(GraphInputError):
+            SubweightedTree.build(tw, forest)
