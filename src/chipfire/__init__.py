@@ -2,7 +2,8 @@
 Jacobians, sub-weighted spanning trees, tree tours, and component groups
 of special fibers."""
 
-from .errors import ChipfireError, GraphInputError, PreconditionError
+from .errors import (ChipfireError, GraphInputError, InternalError,
+                     PreconditionError)
 from .graphs import (Edge, HatGraph, SplitPlan, ValidationReport,
                      VertexSplitMap, WeightedMultigraph, add_leaf,
                      component_genera, expand_hat, is_pleasant,
@@ -16,9 +17,8 @@ from .picard import (AbelianGroupStructure, count_pic0, count_picb0,
                      enumerate_coset_representatives_bruteforce,
                      pic0_structure, picb0_structure)
 from .bernardi import (BernardiReducer, Orientation, SubweightedTree,
-                       enumerate_subweightings, hat_tree_to_pair,
-                       orientation_divisor, reduce, torsor_act, tour_forest,
-                       tree_divisor)
+                       enumerate_subweightings, orientation_divisor, reduce,
+                       torsor_act, tour_forest, tree_divisor)
 from .fibers import (InjectivityReport, SpecialFiberDescription,
                      balanced_representatives, check_base_change_injectivity,
                      component_group, dual_graph, phi_note, psi_map)
@@ -26,7 +26,7 @@ from .family import pleasant_family
 from .selfcheck import run_selfcheck
 
 __all__ = [
-    "ChipfireError", "GraphInputError", "PreconditionError",
+    "ChipfireError", "GraphInputError", "InternalError", "PreconditionError",
     "Edge", "HatGraph", "SplitPlan", "ValidationReport", "VertexSplitMap",
     "WeightedMultigraph", "add_leaf", "component_genera", "expand_hat",
     "is_pleasant", "shrink_vertex_weight", "split_edge", "split_vertex",
@@ -39,7 +39,7 @@ __all__ = [
     "enumerate_coset_representatives_bruteforce", "pic0_structure",
     "picb0_structure",
     "BernardiReducer", "Orientation", "SubweightedTree",
-    "enumerate_subweightings", "hat_tree_to_pair", "orientation_divisor",
+    "enumerate_subweightings", "orientation_divisor",
     "reduce", "torsor_act", "tour_forest", "tree_divisor",
     "InjectivityReport", "SpecialFiberDescription",
     "balanced_representatives", "check_base_change_injectivity",

@@ -17,8 +17,8 @@ from operator import sub
 
 from .divisors import (Divisor, EquivalenceCertificate, LaplacianSystem,
                        degree)
-from .errors import GraphInputError, PreconditionError
-from .graphs import WeightedMultigraph, component_genera, is_int
+from .errors import GraphInputError, InternalError, PreconditionError
+from .graphs import component_genera, is_int
 from .trees import enumerate_forests, is_maximal_forest
 
 
@@ -122,60 +122,6 @@ class SubweightedTree:
         return self.forest_edges, frozenset(self.sigma.items())
 
 
-class _TourMachine:
-    """Index-based tour runner, built once per graph."""
-
-    def __init__(self, g: WeightedMultigraph):
-        halves = []
-        index = {}
-        for v in g.vertices:
-            for h in g.ribbon[v]:
-                index[h] = len(halves)
-                halves.append(h)
-        self.index = index
-        H = len(halves)
-        self.vert_of = [None] * H
-        self.succ = [0] * H
-        for v in g.vertices:
-            ring = g.ribbon[v]
-            for k, h in enumerate(ring):
-                i = index[h]
-                self.vert_of[i] = v
-                self.succ[i] = index[ring[(k + 1) % len(ring)]]
-        self.eid_of = [h[0] for h in halves]
-        self.partner = [index[(h[0], 1 - h[1])] for h in halves]
-        self.other_end = [g.edge(h[0]).ends[1 - h[1]] for h in halves]
-
-    def run(self, tree_ids, e0):
-        """Orient every edge of e0's component; returns edge id -> (tail, head)."""
-        orient = {}
-        start = cur = self.index[e0]
-        for _ in range(len(self.vert_of) + 1):
-            eid = self.eid_of[cur]
-            v = self.vert_of[cur]
-            if eid in tree_ids:
-                if eid not in orient:
-                    orient[eid] = (v, self.other_end[cur])
-                cur = self.succ[self.partner[cur]]
-            else:
-                if eid not in orient:
-                    orient[eid] = (self.other_end[cur], v)
-                cur = self.succ[cur]
-            if cur == start:
-                break
-        else:
-            raise PreconditionError("tour failed to close; tree is not spanning")
-        return orient
-
-
-def _machine(g) -> _TourMachine:
-    m = g.__dict__.get("_tour_machine")
-    if m is None:
-        m = _TourMachine(g)
-        object.__setattr__(g, "_tour_machine", m)
-    return m
-
-
 def tour_forest(g, forest, roots=None, starts=None):
     """Orient all edges by touring the forest's tree in each component from
     its root and start (see `resolve_roots`)."""
@@ -193,13 +139,28 @@ def _require_maximal(g, forest):
 
 def _orient(g, forest, starts):
     """Edge id -> (tail, head) from touring a checked maximal forest from
-    resolved starts."""
-    machine = _machine(g)
+    resolved starts, over the graph's half-edge arrays."""
+    index, vertex, successor, partner, edge_id, other_end = g.half_edges
     tree_ids = set(forest)
-    direction = {}
+    orient = {}
     for e0 in starts.values():
-        direction.update(machine.run(tree_ids, e0))
-    return direction
+        start = cur = index[e0]
+        for _ in range(len(vertex) + 1):
+            eid = edge_id[cur]
+            v = vertex[cur]
+            if eid in tree_ids:
+                if eid not in orient:
+                    orient[eid] = (v, other_end[cur])
+                cur = successor[partner[cur]]
+            else:
+                if eid not in orient:
+                    orient[eid] = (other_end[cur], v)
+                cur = successor[cur]
+            if cur == start:
+                break
+        else:
+            raise PreconditionError("tour failed to close; tree is not spanning")
+    return orient
 
 
 def orientation_divisor(g, O: Orientation) -> Divisor:
@@ -222,7 +183,7 @@ def _affine_residues(g, forest, starts, cols, moduli):
     so each sub-weighting costs one new residue tuple, no tour or divisor.
     """
     orient = _orient(g, forest, starts)
-    index = {v: i for i, v in enumerate(g.vertices)}
+    index = g.vertex_index
     in_forest = set(forest)
     vec = [-g.vertex_weight[v] for v in g.vertices]
     for e in g.edges:
@@ -356,19 +317,13 @@ def hat_pairs(g, hat, hat_trees):
                     dirs = {orient[c] for c in cs}
                     # the correspondence presumes parallel non-tree copies agree
                     if len(dirs) != 1:
-                        raise AssertionError(
+                        raise InternalError(
                             f"copies of non-tree edge {e.id!r} received mixed "
                             f"directions {sorted(dirs)}; correspondence "
                             "assumption violated")
         out.append((SubweightedTree(tuple(forest), sigma, roots, starts),
                     Orientation(orient)))
     return out
-
-
-def hat_tree_to_pair(g, hat, hatT) -> SubweightedTree:
-    """Spanning tree of the expanded graph -> sub-weighted tree of g."""
-    [(ts, _orientation)] = hat_pairs(g, hat, [hatT])
-    return ts
 
 
 def hat_reference_shift(g) -> Divisor:
@@ -396,13 +351,13 @@ def reduce(g, D, roots=None, starts=None):
         if k == key:
             break
     else:
-        raise AssertionError("no sub-weighted forest lands in the class of a "
-                             "divisor of the right degrees; completeness is violated")
+        raise InternalError("no sub-weighted forest lands in the class of a "
+                            "divisor of the right degrees; completeness is violated")
     ts = _with_sigma(g, forest, combo, roots, starts)
     cert = system.solve_potential(D - tree_divisor(g, ts))
     if cert is None:
-        raise AssertionError("reduction found a representative with no "
-                             "chip-firing certificate")
+        raise InternalError("reduction found a representative with no "
+                            "chip-firing certificate")
     return ts, EquivalenceCertificate(potential=cert)
 
 
@@ -418,7 +373,7 @@ def torsor_act(g, D0, ts: SubweightedTree) -> SubweightedTree:
 class BernardiReducer:
     """Table from every class of per-component degree genus - 1 to its
     sub-weighted forest, from the walk that `reduce` takes: the oracle of
-    the completeness checks in `selfcheck`.  Raises AssertionError when two
+    the completeness checks in `selfcheck`.  Raises InternalError when two
     sub-weighted forests land in one class."""
 
     def __init__(self, g, roots=None, starts=None):
@@ -427,7 +382,7 @@ class BernardiReducer:
         self.table = {}
         for key, forest, combo in _keyed_subweightings(g, self.system, starts):
             if key in self.table:
-                raise AssertionError(
+                raise InternalError(
                     "two sub-weighted forests landed in one class; "
                     "completeness is violated")
             self.table[key] = _with_sigma(g, forest, combo, roots, starts)

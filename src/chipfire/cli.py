@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 for malformed input or usage errors, 2 for
-precondition violations.  Identical inputs produce byte-identical output.
+precondition violations, 3 for a failed internal check.  Identical inputs
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 
 from . import bernardi, picard, serialize
 from .divisors import check_on_graph, laplacian
-from .errors import GraphInputError, PreconditionError
+from .errors import GraphInputError, InternalError, PreconditionError
 from .fibers import (SpecialFiberDescription, component_group_structure,
                      dual_graph, phi_note)
 from .graphs import (SplitPlan, add_leaf, component_genera, expand_hat,
@@ -315,9 +316,12 @@ def main(argv=None) -> int:
     except GraphInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (PreconditionError, ValueError, AssertionError) as exc:
+    except (PreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

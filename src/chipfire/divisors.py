@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from . import intlinalg
-from .errors import GraphInputError, PreconditionError
+from .errors import GraphInputError, InternalError, PreconditionError
 from .graphs import WeightedMultigraph, is_pleasant
 
 
@@ -164,7 +164,7 @@ def equivalent(g, D1, D2):
     if f is None:
         return None
     if laplacian(g, f).vector(g) != (D1 - D2).vector(g):
-        raise AssertionError("certificate potential's Laplacian is not D1 - D2")
+        raise InternalError("certificate potential's Laplacian is not D1 - D2")
     return EquivalenceCertificate(potential=f)
 
 

@@ -8,3 +8,7 @@ class GraphInputError(ChipfireError):
 
 class PreconditionError(ChipfireError):
     """An operation was called with arguments that violate its contract."""
+
+
+class InternalError(ChipfireError):
+    """An internal consistency check failed: a bug, not bad input."""

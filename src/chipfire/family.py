@@ -11,25 +11,14 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import WeightedMultigraph
+from .graphs import WeightedMultigraph, _find
 
 
 def _connected(n, pairs):
-    if n == 1:
-        return True
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in range(n)}) == 1
+        parent[_find(parent, a)] = _find(parent, b)
+    return len({_find(parent, v) for v in range(n)}) == 1
 
 
 def _signature(n, vweights, weighted_pairs, perm):

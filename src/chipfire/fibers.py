@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .bernardi import enumerate_subweightings
 from .divisors import Divisor, LaplacianSystem, degree, is_balanced
-from .errors import GraphInputError, PreconditionError
+from .errors import GraphInputError, InternalError, PreconditionError
 from .graphs import VertexSplitMap, WeightedMultigraph, is_int, validate
 from .picard import (enumerate_coset_representatives_bruteforce,
                      picb0_structure)
@@ -76,7 +76,7 @@ def dual_graph(f: SpecialFiberDescription) -> WeightedMultigraph:
         vertex_weight=index,
         edge_weight={node: deg for node, _, deg in f.nodes})
     if not validate(g).pleasant:
-        raise AssertionError("dual graph of a checked fiber is not pleasant")
+        raise InternalError("dual graph of a checked fiber is not pleasant")
     return g
 
 
@@ -121,7 +121,7 @@ def psi_map(old_g, split: VertexSplitMap, D: Divisor) -> Divisor:
         c = D.coefficients.get(v, 0)
         r = len(copies)
         if c % r:  # r divides w(v), which divides c
-            raise AssertionError(f"{r} copies do not divide the coefficient {c} at {v!r}")
+            raise InternalError(f"{r} copies do not divide the coefficient {c} at {v!r}")
         for name in copies:
             out[name] = c // r
     return Divisor(out)
@@ -153,7 +153,7 @@ def check_base_change_injectivity(old_g, new_g, correspondence=None,
     seen = {}
     for D_old, D_new in zip(reps, images):
         if degree(D_new) != 0:
-            raise AssertionError(f"base change moved {D_old} out of degree 0")
+            raise InternalError(f"base change moved {D_old} out of degree 0")
         key = sys.class_key(D_new)
         if key in seen:
             return InjectivityReport(False, len(reps), (seen[key], D_old))

@@ -9,8 +9,10 @@ contributes both sides to its vertex.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import GraphInputError, PreconditionError
 
@@ -20,6 +22,32 @@ HalfEdge = tuple[str, int]
 def is_int(x):
     """An int that is not a bool (JSON's true/false load as bools)."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _positive_weight(what, x, w):
+    if not is_int(w) or w < 1:
+        raise GraphInputError(f"{what} weight at {x!r} must be a positive integer")
+
+
+def _distinct_json_keys(what, ids):
+    """Raises GraphInputError if two ids are written as the same JSON object
+    key: a number, true, false or null key becomes the string of its JSON
+    text, so 1 and "1" collide."""
+    seen = {}
+    for x in ids:
+        key = json.dumps(x) if x is None or isinstance(x, (int, float)) else x
+        if key in seen:
+            raise GraphInputError(f"{what} ids {seen[key]!r} and {x!r} are the "
+                                  "same key in JSON output")
+        seen[key] = x
+
+
+def _find(parent, x):
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 @dataclass(frozen=True)
@@ -90,13 +118,13 @@ class WeightedMultigraph:
         for v, w in vw.items():
             if v not in vset:
                 raise GraphInputError(f"weight given for unknown vertex {v!r}")
-            if not is_int(w) or w < 1:
-                raise GraphInputError(f"vertex weight at {v!r} must be a positive integer")
+            _positive_weight("vertex", v, w)
         for eid, w in ew.items():
             if eid not in seen:
                 raise GraphInputError(f"weight given for unknown edge {eid!r}")
-            if not is_int(w) or w < 1:
-                raise GraphInputError(f"edge weight at {eid!r} must be a positive integer")
+            _positive_weight("edge", eid, w)
+        _distinct_json_keys("vertex", vertices)
+        _distinct_json_keys("edge", [e.id for e in edge_objs])
 
         if ribbon is None:
             ribbon = cls._default_ribbon(vertices, edge_objs)
@@ -130,6 +158,55 @@ class WeightedMultigraph:
                 raise GraphInputError(
                     f"ribbon at {v!r} must contain exactly the incident half-edges")
 
+    # -- derived tables ---------------------------------------------------
+    # Each table is built on first use and kept in the instance __dict__,
+    # which cached_property writes directly, so the frozen dataclass allows
+    # it.  No caller mutates a graph's fields, so no table goes stale;
+    # `forget_tables` drops them all.
+
+    @cached_property
+    def vertex_index(self):
+        """Vertex -> its position in declaration order."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def edge_by_id(self):
+        return {e.id: e for e in self.edges}
+
+    @cached_property
+    def edge_ends(self):
+        """Edge id -> the vertex indices of its two ends."""
+        at = self.vertex_index
+        return {e.id: (at[e.ends[0]], at[e.ends[1]]) for e in self.edges}
+
+    @cached_property
+    def _components(self):
+        parent = list(range(self.n))
+        for i, j in self.edge_ends.values():
+            parent[_find(parent, i)] = _find(parent, j)
+        groups = {}
+        for i, v in enumerate(self.vertices):
+            groups.setdefault(_find(parent, i), []).append(v)
+        return [tuple(c) for c in groups.values()]
+
+    @cached_property
+    def half_edges(self):
+        """The ribbon as arrays over half-edges, numbered vertex by vertex in
+        ribbon order: half-edge -> number, and per number its vertex, the
+        next half-edge around that vertex, the other half-edge of its edge,
+        its edge id, and the vertex at that other half-edge."""
+        halves = [h for v in self.vertices for h in self.ribbon[v]]
+        index = {h: k for k, h in enumerate(halves)}
+        vertex, successor = [], []
+        for v in self.vertices:
+            first, m = len(vertex), len(self.ribbon[v])
+            vertex += [v] * m
+            successor += [first + (k + 1) % m for k in range(m)]
+        return (index, vertex, successor,
+                [index[(eid, 1 - side)] for eid, side in halves],
+                [eid for eid, _ in halves],
+                [self.edge_by_id[eid].ends[1 - side] for eid, side in halves])
+
     # -- basic accessors --------------------------------------------------
 
     @property
@@ -138,66 +215,43 @@ class WeightedMultigraph:
 
     def vindex(self, v):
         try:
-            return self.vertices.index(v)
-        except ValueError:
+            return self.vertex_index[v]
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise GraphInputError(f"unknown vertex {v!r}") from None
 
     def edge(self, eid):
-        by_id = self.__dict__.get("_edge_by_id")
-        if by_id is None:
-            by_id = {e.id: e for e in self.edges}
-            object.__setattr__(self, "_edge_by_id", by_id)
         try:
-            return by_id[eid]
+            return self.edge_by_id[eid]
         except KeyError:
             raise GraphInputError(f"unknown edge {eid!r}") from None
 
     def components(self):
-        """Connected components as tuples of vertices, in declaration order."""
-        cached = self.__dict__.get("_components")
-        if cached is not None:
-            return cached
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.edges:
-            a, b = find(e.ends[0]), find(e.ends[1])
-            if a != b:
-                parent[a] = b
-        groups = {}
-        for v in self.vertices:
-            groups.setdefault(find(v), []).append(v)
-        roots_in_order = []
-        for v in self.vertices:
-            r = find(v)
-            if r not in roots_in_order:
-                roots_in_order.append(r)
-        out = [tuple(groups[r]) for r in roots_in_order]
-        object.__setattr__(self, "_components", out)
-        return out
+        """Connected components as tuples of vertices, in declaration order:
+        ordered by their first vertex."""
+        return self._components
 
     def is_connected(self):
         return len(self.components()) <= 1
 
     def laplacian_matrix(self):
         """Weighted Laplacian as an n x n integer matrix; loops contribute 0."""
-        idx = {v: i for i, v in enumerate(self.vertices)}
         L = [[0] * self.n for _ in range(self.n)]
-        for e in self.edges:
-            if e.is_loop:
+        for eid, (i, j) in self.edge_ends.items():
+            if i == j:
                 continue
-            i, j = idx[e.ends[0]], idx[e.ends[1]]
-            w = self.edge_weight[e.id]
+            w = self.edge_weight[eid]
             L[i][i] += w
             L[j][j] += w
             L[i][j] -= w
             L[j][i] -= w
         return L
+
+
+def forget_tables(g):
+    """Drop every derived table cached on g; each rebuilds on its next use."""
+    for name, attr in vars(type(g)).items():
+        if isinstance(attr, cached_property):
+            g.__dict__.pop(name, None)
 
 
 @dataclass(frozen=True)
@@ -319,11 +373,13 @@ def add_leaf(g, v, leaf_weight=1, edge_weight=1):
     """Attach a new degree-1 vertex at v; weights must keep the graph pleasant."""
     if v not in g.vertices:
         raise GraphInputError(f"unknown vertex {v!r}")
+    leaf = _fresh_id(set(g.vertices), f"{v}_leaf")
+    eid = _fresh_id({e.id for e in g.edges}, f"{v}_stem")
+    _positive_weight("vertex", leaf, leaf_weight)
+    _positive_weight("edge", eid, edge_weight)
     if edge_weight % leaf_weight or edge_weight % g.vertex_weight[v]:
         raise PreconditionError(
             "leaf edge weight must be divisible by both endpoint weights")
-    leaf = _fresh_id(set(g.vertices), f"{v}_leaf")
-    eid = _fresh_id({e.id for e in g.edges}, f"{v}_stem")
     vertices = g.vertices + (leaf,)
     edges = [(e.id, e.ends) for e in g.edges] + [(eid, (v, leaf))]
     vw = dict(g.vertex_weight)

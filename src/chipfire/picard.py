@@ -11,7 +11,7 @@ from operator import add
 from . import intlinalg
 from .divisors import (Divisor, LaplacianSystem, reduced_laplacian,
                        require_pleasant)
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def count_picb0(g) -> int:
                      for comp in g.components())
     val = Fraction(gcds * count_pic0(g), math.prod(g.vertex_weight.values()))
     if val.denominator != 1:
-        raise AssertionError(
+        raise InternalError(
             "balanced count came out non-integral; input was not pleasant")
     return int(val)
 

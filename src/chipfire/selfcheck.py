@@ -21,12 +21,14 @@ from dataclasses import dataclass, field
 from . import bernardi, intlinalg, picard, trees
 from .divisors import (Divisor, LaplacianSystem, chip_fire, degree,
                        equivalent, is_balanced, laplacian)
+from .errors import InternalError
 from .family import pleasant_family
 from .fibers import (SpecialFiberDescription, balanced_representatives,
                      check_base_change_injectivity, component_group)
-from .graphs import (WeightedMultigraph, add_leaf, expand_hat, is_pleasant,
-                     split_edge, shrink_vertex_weight, split_vertex, SplitPlan,
-                     validate, vertex_gcd, weighted_genus)
+from .graphs import (WeightedMultigraph, add_leaf, expand_hat, forget_tables,
+                     is_pleasant, split_edge, shrink_vertex_weight,
+                     split_vertex, SplitPlan, validate, vertex_gcd,
+                     weighted_genus)
 
 
 @dataclass
@@ -207,8 +209,9 @@ def sweep_family(family=None) -> dict:
         # completeness of sub-weighted trees
         try:
             reducer = bernardi.BernardiReducer(g)
-        except AssertionError as exc:
+        except InternalError as exc:
             bad("completeness", g, str(exc))
+            forget_tables(g)
             continue
         if len(reducer.table) != count:
             bad("completeness", g,
@@ -248,7 +251,7 @@ def sweep_family(family=None) -> dict:
             # one tour per hat tree gives both its pair and its divisor D_O;
             # tree_divisor tours the pair on g separately
             pairs = bernardi.hat_pairs(g, hat, hat_trees)
-        except AssertionError as exc:
+        except InternalError as exc:
             bad("hat", g, str(exc))
             pairs = []
             hat_ok = False
@@ -327,6 +330,8 @@ def sweep_family(family=None) -> dict:
         if (any(w > 1 for w in g.vertex_weight.values())
                 and 2 <= countb <= 12 and len(torsor_candidates) < 24):
             torsor_candidates.append(g)
+        # the family outlives the sweep; its graphs need not keep their tables
+        forget_tables(g)
 
     results = {}
     for name, title in [
@@ -451,8 +456,7 @@ def check_divisor_properties(family, seed=0) -> CheckResult:
         not problems, str(problems[0]) if problems else "")
 
 
-def run_selfcheck(seed=0, max_vertices=4, max_edges=5, max_weight=3,
-                  log=print) -> bool:
+def run_selfcheck(seed=0, max_vertices=4, max_edges=5, max_weight=3) -> bool:
     family = list(pleasant_family(max_vertices, max_edges, max_weight))
     results = [check_triangle_example(), check_laplacian_example(),
                check_fig2_tours()]
@@ -466,6 +470,6 @@ def run_selfcheck(seed=0, max_vertices=4, max_edges=5, max_weight=3,
     ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        log(f"{status}  {r.name}" + (f"  [{r.detail}]" if r.detail else ""))
+        print(f"{status}  {r.name}" + (f"  [{r.detail}]" if r.detail else ""))
         ok = ok and r.passed
     return ok

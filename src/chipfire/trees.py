@@ -8,31 +8,13 @@ are never part of a tree.
 from __future__ import annotations
 
 from .errors import PreconditionError
-
-
-def _find(parent, x):
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _forest_index(g):
-    """Edge id -> (end index, end index) in vertex order, and the size of a
-    maximal spanning forest; built once per graph and cached on it."""
-    cached = g.__dict__.get("_forest_index")
-    if cached is None:
-        at = {v: i for i, v in enumerate(g.vertices)}
-        cached = ({e.id: (at[e.ends[0]], at[e.ends[1]]) for e in g.edges},
-                  g.n - len(g.components()))
-        object.__setattr__(g, "_forest_index", cached)
-    return cached
+from .graphs import _find
 
 
 def enumerate_forests(g):
     """All maximal spanning forests as tuples of edge ids."""
-    ends_of, target = _forest_index(g)
-    candidates = [(e.id, *ends_of[e.id]) for e in g.edges if not e.is_loop]
+    target = g.n - len(g.components())
+    candidates = [(eid, a, b) for eid, (a, b) in g.edge_ends.items() if a != b]
     out = []
     chosen = []
 
@@ -65,9 +47,9 @@ def enumerate_trees(g):
 def is_maximal_forest(g, edge_ids):
     """Whether the ids name distinct edges of g that form a maximal spanning
     forest.  Raises TypeError on an unhashable id."""
-    ends_of, target = _forest_index(g)
+    ends_of = g.edge_ends
     ids = list(edge_ids)
-    if len(set(ids)) != len(ids) or len(ids) != target:
+    if len(set(ids)) != len(ids) or len(ids) != g.n - len(g.components()):
         return False
     parent = list(range(g.n))
     for eid in ids:

@@ -10,7 +10,7 @@ from chipfire import (BernardiReducer, Divisor, GraphInputError,
                       PreconditionError, SubweightedTree, WeightedMultigraph,
                       degree, enumerate_forests, enumerate_subweightings,
                       enumerate_trees,
-                      equivalent, expand_hat, hat_tree_to_pair, is_balanced,
+                      equivalent, expand_hat, is_balanced,
                       laplacian, orientation_divisor, torsor_act, tour_forest,
                       tree_divisor, weighted_genus)
 from chipfire.bernardi import (hat_reference_shift, reduce as bernardi_reduce,
@@ -112,8 +112,8 @@ def test_hat_correspondence_tw(tw):
     hat = expand_hat(tw)
     shift = hat_reference_shift(tw)
     pairs = set()
-    for hatT in enumerate_trees(hat.graph):
-        ts = hat_tree_to_pair(tw, hat, hatT)
+    hat_trees = enumerate_trees(hat.graph)
+    for hatT, (ts, _O) in zip(hat_trees, bernardi.hat_pairs(tw, hat, hat_trees)):
         pairs.add(ts.key())
         DO = orientation_divisor(hat.graph, tour_forest(hat.graph, hatT))
         assert tree_divisor(tw, ts).vector(tw) == (DO - shift).vector(tw)
@@ -130,7 +130,7 @@ def test_hat_pairs_share_the_tour_orientation(name, request):
     assert len(pairs) == len(hat_trees)
     for hatT, (ts, O) in zip(hat_trees, pairs):
         assert O.direction == tour_forest(hat.graph, hatT).direction
-        assert ts == hat_tree_to_pair(g, hat, hatT)
+        assert [ts] == [t for t, _O in bernardi.hat_pairs(g, hat, [hatT])]
         assert ts == SubweightedTree.build(g, ts.forest_edges, ts.sigma)
     with pytest.raises(PreconditionError):
         bernardi.hat_pairs(g, hat, [hat_trees[0][1:]])
@@ -141,7 +141,7 @@ def test_hat_tree_copy_choice_sweeps_sigma(tw):
     hat = expand_hat(tw)
     sigmas = set()
     for copy in ("a#1", "a#2"):
-        ts = hat_tree_to_pair(tw, hat, (copy, "b#1"))
+        [(ts, _O)] = bernardi.hat_pairs(tw, hat, [(copy, "b#1")])
         sigmas.add(ts.sigma["a"])
     assert sigmas == {1, 2}
 

@@ -249,6 +249,12 @@ def _fiber(components, ends, id):
 
 
 TW_RIBBON = {"v1": ["a", "b"], "v2": ["a", "c"], "v3": ["b", "c"]}
+# ids that JSON output would write as one object key
+TWIN_VERTICES = {"vertices": [{"id": 1}, {"id": "1"}],
+                 "edges": [{"id": "e", "ends": [1, "1"]}]}
+TWIN_EDGES = {"vertices": [{"id": "u"}, {"id": "v"}],
+              "edges": [{"id": 3, "ends": ["u", "v"]},
+                        {"id": "3", "ends": ["u", "v"]}]}
 
 
 @pytest.mark.parametrize("command, files, extra", [
@@ -263,6 +269,8 @@ TW_RIBBON = {"v1": ["a", "b"], "v2": ["a", "c"], "v3": ["b", "c"]}
          "roots-unknown"),
     _act({"tree": ["a", "b"], "sigma": TREE["sigma"], "roots": ["v1", "v2"]},
          "roots-share-component"),
+    _act({"tree": ["a", "b"], "sigma": TREE["sigma"], "roots": [["v1"]]},
+         "roots-unhashable"),
     _act({**TREE, "tree": ["a", "zz"]}, "tree-unknown-edge"),
     _act({**TREE, "tree": "ab"}, "tree-string"),
     _act({**TREE, "tree": ["a"]}, "tree-not-spanning"),
@@ -295,6 +303,21 @@ TW_RIBBON = {"v1": ["a", "b"], "v2": ["a", "c"], "v3": ["b", "c"]}
     _fiber([{"id": "C"}], "CC", "fiber-ends-string"),
     _fiber([{"id": "C"}], [["C"], "C"], "fiber-end-list"),
     _fiber([{"id": ["C"]}], ["C", "C"], "fiber-component-id-list"),
+    pytest.param("rewrite", {"--graph": TW_OBJ},
+                 ["add-leaf", "--vertex", "v1", "--leaf-weight", "0"],
+                 id="leaf-weight-zero"),
+    pytest.param("rewrite", {"--graph": TW_OBJ},
+                 ["add-leaf", "--vertex", "v1", "--leaf-weight", "-2"],
+                 id="leaf-weight-negative"),
+    pytest.param("rewrite", {"--graph": TWIN_VERTICES},
+                 ["add-leaf", "--vertex", "1"], id="vertex-ids-twin"),
+    pytest.param("trees", {"--graph": TWIN_EDGES}, [], id="edge-ids-twin"),
+    _fiber([{"id": 1}, {"id": "1"}], [1, "1"], "fiber-component-ids-twin"),
+    pytest.param("fiber", {"--fiber": {
+        "components": [{"id": "C"}],
+        "nodes": [{"id": 3, "ends": ["C", "C"]},
+                  {"id": "3", "ends": ["C", "C"]}]}}, [],
+        id="fiber-node-ids-twin"),
 ])
 def test_malformed_input_exits_1(tmp_path, capsys, command, files, extra):
     argv = [command]

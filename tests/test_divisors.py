@@ -105,11 +105,12 @@ def test_class_key_separates_classes(tw):
 
 # Run under `python -O`, which strips `assert` statements: the checks that
 # certify a certificate must still fire, and the CLI must report them with
-# exit code 2.
+# exit code 3.
 _OPTIMIZED_CHECKS = r"""
 import sys
 from chipfire import cli, divisors
 from chipfire.divisors import Divisor
+from chipfire.errors import InternalError
 from chipfire.selfcheck import triangle_tw
 
 if not sys.flags.optimize:
@@ -119,7 +120,7 @@ divisors.LaplacianSystem.solve_potential = lambda self, D: dict.fromkeys(g.verti
 try:
     divisors.equivalent(g, Divisor({"v1": 2, "v2": -2, "v3": 0}), Divisor.zero(g))
     print("equivalent accepted a wrong certificate")
-except AssertionError:
+except InternalError:
     print("equivalent raised")
 divisors.LaplacianSystem.solve_potential = lambda self, D: None
 print("reduce exit", cli.main(["reduce", "--graph", sys.argv[1],
@@ -139,7 +140,7 @@ def test_certificate_checks_survive_optimize(tw, tmp_path):
         [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS, str(graph), str(divisor)],
         capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["equivalent raised", "reduce exit 2"]
+    assert run.stdout.splitlines() == ["equivalent raised", "reduce exit 3"]
 
 
 def test_no_bare_assert_in_src():

@@ -1,10 +1,18 @@
+import dataclasses
+
 import pytest
 
-from chipfire import (GraphInputError, PreconditionError, SplitPlan,
-                      WeightedMultigraph, serialize, add_leaf, expand_hat, pic0_structure,
-                      picb0_structure, count_picb0, shrink_vertex_weight,
-                      split_edge, split_vertex, validate, weighted_genus)
-from chipfire.trees import enumerate_trees
+from chipfire import (GraphInputError, InternalError, PreconditionError,
+                      SplitPlan, WeightedMultigraph, bernardi, serialize,
+                      add_leaf, expand_hat, pic0_structure, picb0_structure,
+                      count_picb0, shrink_vertex_weight, split_edge,
+                      split_vertex, tour_forest, validate, weighted_genus)
+from chipfire.family import pleasant_family
+from chipfire.graphs import forget_tables
+from chipfire.selfcheck import sweep_family
+from chipfire.trees import enumerate_forests, enumerate_trees
+
+FIELDS = {f.name for f in dataclasses.fields(WeightedMultigraph)}
 
 
 def test_build_rejects_duplicates_and_unknowns():
@@ -16,6 +24,54 @@ def test_build_rejects_duplicates_and_unknowns():
         WeightedMultigraph.build(["v", "w"], [("e", ("v", "w")), ("e", ("v", "w"))])
     with pytest.raises(GraphInputError):
         WeightedMultigraph.build(["v"], [], vertex_weight={"v": 0})
+
+
+def test_build_rejects_ids_that_share_a_json_key():
+    # JSON writes the number 1 as the key "1": output would repeat the key
+    with pytest.raises(GraphInputError, match="same key"):
+        WeightedMultigraph.build([1, "1"], [("e", (1, "1"))])
+    with pytest.raises(GraphInputError, match="same key"):
+        WeightedMultigraph.build(["u", "v"], [(3, ("u", "v")), ("3", ("u", "v"))])
+    with pytest.raises(GraphInputError, match="same key"):
+        WeightedMultigraph.build([True, "true"], [])
+    # vertex and edge ids live in separate objects, so they may share a key
+    g = WeightedMultigraph.build([7, "u"], [("7", (7, "u"))])
+    assert g.vindex(7) == 0
+
+
+def test_components_keep_declaration_order():
+    # the components interleave in declaration order; a loop joins nothing
+    g = WeightedMultigraph.build(
+        ["a", "x", "b", "y", "z"],
+        [("ab", ("a", "b")), ("l", ("y", "y")), ("xy", ("x", "y"))])
+    assert g.components() == [("a", "b"), ("x", "y"), ("z",)]
+    assert [g.vindex(v) for v in "axbyz"] == [0, 1, 2, 3, 4]
+    assert enumerate_forests(g) == [("ab", "xy")]
+    for bad in ("w", ["a"]):
+        with pytest.raises(GraphInputError):
+            g.vindex(bad)
+
+
+def test_forget_tables_drops_every_table(tw):
+    orientation = tour_forest(tw, ("a", "b")).direction
+    laplacian = tw.laplacian_matrix()
+    assert set(vars(tw)) > FIELDS
+    forget_tables(tw)
+    assert set(vars(tw)) == FIELDS
+    assert tour_forest(tw, ("a", "b")).direction == orientation
+    assert tw.laplacian_matrix() == laplacian
+
+
+@pytest.mark.parametrize("reducer_fails", [False, True])
+def test_sweep_forgets_the_tables_of_its_graphs(monkeypatch, reducer_fails):
+    family = list(pleasant_family(max_vertices=3, max_edges=3, max_weight=2))
+    if reducer_fails:
+        def failing(g):
+            raise InternalError("injected")
+        monkeypatch.setattr(bernardi, "BernardiReducer", failing)
+    results = sweep_family(family)
+    assert results["completeness"].passed == (not reducer_fails)
+    assert all(set(vars(g)) == FIELDS for g in family)
 
 
 def test_default_ribbon_keeps_loop_halves_adjacent():
