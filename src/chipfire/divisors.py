@@ -155,15 +155,26 @@ class LaplacianSystem:
 
 
 def equivalent(g, D1, D2):
-    """Certificate f with Laplacian(f) = D1 - D2, or None if inequivalent."""
+    """Certificate f with Laplacian(f) = D1 - D2, or None if inequivalent.
+
+    D1 - D2 is principal iff its degree on every component is 0 and
+    L_r f_r = (D1 - D2)_r has an integer solution.  One fraction-free solve
+    gives y = d f_r with d = det(L_r), so f_r is integral iff d divides y.
+    """
     check_on_graph(g, D1)
     check_on_graph(g, D2)
-    if degree(D1) != degree(D2):
+    diff = (D1 - D2).vector(g)
+    if any(sum(diff[g.vindex(v)] for v in comp) for comp in g.components()):
         return None
-    f = LaplacianSystem(g).solve_potential(D1 - D2)
-    if f is None:
-        return None
-    if laplacian(g, f).vector(g) != (D1 - D2).vector(g):
+    f = dict.fromkeys(g.vertices, 0)
+    Lr, keep = reduced_laplacian(g)
+    if keep:
+        y, d = intlinalg.solve(Lr, [diff[i] for i in keep])
+        if any(c % d for c in y):
+            return None
+        for i, c in zip(keep, y):
+            f[g.vertices[i]] = c // d
+    if laplacian(g, f).vector(g) != diff:
         raise InternalError("certificate potential's Laplacian is not D1 - D2")
     return EquivalenceCertificate(potential=f)
 

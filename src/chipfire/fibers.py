@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from .bernardi import enumerate_subweightings
 from .divisors import Divisor, LaplacianSystem, degree, is_balanced
 from .errors import GraphInputError, InternalError, PreconditionError
-from .graphs import VertexSplitMap, WeightedMultigraph, is_int, validate
+from .graphs import (VertexSplitMap, WeightedMultigraph, _distinct_json_keys,
+                     is_int, validate)
 from .picard import (enumerate_coset_representatives_bruteforce,
                      picb0_structure)
 from .trees import enumerate_forests
@@ -70,6 +71,9 @@ def dual_graph(f: SpecialFiberDescription) -> WeightedMultigraph:
                 raise GraphInputError(
                     f"node {node!r} has residue degree {deg}, not divisible by "
                     f"index {index[comp]} of component {comp!r}")
+    # the same check runs in `build`, but there it would name vertices and edges
+    _distinct_json_keys("component", [c for c, _ in f.components])
+    _distinct_json_keys("node", [node for node, _, _ in f.nodes])
     g = WeightedMultigraph.build(
         [c for c, _ in f.components],
         [(node, ends) for node, ends, _ in f.nodes],

@@ -7,6 +7,9 @@ values may grow without overflow.  Matrices are lists of rows.
 from __future__ import annotations
 
 import math
+from operator import mul
+
+from .errors import InternalError
 
 
 def inverse(A):
@@ -143,24 +146,69 @@ def gcd_basis(w):
     return cols
 
 
-def det(A):
-    """Exact determinant of a square integer matrix (Bareiss)."""
-    n = len(A)
+def _eliminate(M, n):
+    """Bareiss forward elimination, in place, on the n rows of M, which may
+    carry extra columns after the first n; returns det(A), with A the
+    first n columns.
+
+    Step k updates only the columns after k of the rows below k, so M ends
+    upper triangular on and above the diagonal, every entry a minor of the
+    input, and U y = t c of the result is equivalent to the input system
+    for any scalar t.  Entries below the diagonal are left stale.
+    """
     if n == 0:
         return 1
-    M = [list(map(int, row)) for row in A]
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if swap is None:
+        pivot_row = M[k]
+        pivot = pivot_row[k]
+        if not pivot:
+            p = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if p is None:
                 return 0
-            M[k], M[swap] = M[swap], M[k]
+            M[k], M[p] = M[p], M[k]
             sign = -sign
+            pivot_row = M[k]
+            pivot = pivot_row[k]
+        cols = range(k + 1, len(pivot_row))
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
+            row = M[i]
+            f = row[k]
+            if f:
+                for j in cols:
+                    row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+            else:
+                for j in cols:
+                    row[j] = pivot * row[j] // prev
+        prev = pivot
     return sign * M[n - 1][n - 1]
+
+
+def det(A):
+    """Exact determinant of a square integer matrix (Bareiss)."""
+    return _eliminate([list(map(int, row)) for row in A], len(A))
+
+
+def solve(A, b):
+    """(y, d) with A y == d b and d = det(A), for a nonsingular square A.
+
+    One fraction-free elimination on [A | b], then back-substitution with
+    exact division: y = d A^-1 b is integral by Cramer's rule, so a
+    remainder means an internal fault.  Raises ValueError if A is
+    singular.
+    """
+    n = len(A)
+    M = [[int(x) for x in row] + [int(c)] for row, c in zip(A, b)]
+    d = _eliminate(M, n)
+    if d == 0:
+        raise ValueError("singular matrix has no solve")
+    y = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = M[k]
+        s = d * row[n] - sum(map(mul, row[k + 1:n], y[k + 1:]))
+        y[k], r = divmod(s, row[k])
+        if r:
+            raise InternalError("fraction-free back-substitution left a "
+                                "remainder")
+    return y, d

@@ -26,18 +26,21 @@ class AbelianGroupStructure:
         return out
 
 
-def _structure(A, e):
-    """Invariant factors of the torsion of Z^rows / col-span(A); e must be a
+def _structure(A, m):
+    """Invariant factors of the torsion of Z^rows / col-span(A); m must be a
     multiple of its exponent."""
     return AbelianGroupStructure(
-        tuple(d for d in intlinalg.smith_diagonal(A, e) if d > 1))
+        tuple(d for d in intlinalg.smith_diagonal(A, m) if d > 1))
 
 
 def pic0_structure(g) -> AbelianGroupStructure:
-    """Invariant factors of degree-0 divisors modulo principal divisors."""
+    """Invariant factors of degree-0 divisors modulo principal divisors.
+
+    The Jacobian is the cokernel of the reduced Laplacian L_r, whose order
+    |det L_r| is a multiple of its exponent, so it serves as the modulus.
+    """
     Lr, _ = reduced_laplacian(g)
-    _, e = intlinalg.inverse(Lr)
-    return _structure(Lr, e)
+    return _structure(Lr, abs(intlinalg.det(Lr)))
 
 
 def picb0_structure(g) -> AbelianGroupStructure:
@@ -47,14 +50,15 @@ def picb0_structure(g) -> AbelianGroupStructure:
     and a -> (w(v) a_v) maps the kernel of the per-component weighted
     degree onto the balanced degree-0 divisors, so the balanced Jacobian is
     the torsion of the cokernel of W^-1 L, whose root columns are redundant.
-    It is a subgroup of the Jacobian, whose exponent bounds its own.
+    It is a subgroup of the Jacobian, so |det L_r|, the Jacobian's order,
+    is a multiple of its exponent too.
     """
     require_pleasant(g, "the balanced Jacobian")
     Lr, keep = reduced_laplacian(g)
-    _, e = intlinalg.inverse(Lr)
+    m = abs(intlinalg.det(Lr))
     L = g.laplacian_matrix()
     return _structure([[L[i][j] // g.vertex_weight[v] for j in keep]
-                       for i, v in enumerate(g.vertices)], e)
+                       for i, v in enumerate(g.vertices)], m)
 
 
 def _balanced_deg0_generators(g):

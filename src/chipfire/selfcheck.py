@@ -3,11 +3,12 @@
 One pass over the exhaustive small-graph family cross-validates the
 tree-sum count (kept here as an oracle; the library counts by
 determinant), the Bareiss determinant, the group structures (Smith
-diagonals modulo the exponent that an exact inverse of the reduced
-Laplacian gives), the brute-force coset enumeration, the sub-weighted-tree
-completeness, the hat-graph correspondence, the rewrite invariances, and
-the torsor axioms.  The CLI `selfcheck` command and the acceptance tests
-both run through here.
+diagonals modulo the determinant of the reduced Laplacian, whose largest
+invariant factors must equal the exponents that the brute-force leg's
+exact inverse gives), the brute-force coset enumeration, the
+sub-weighted-tree completeness, the hat-graph correspondence, the rewrite
+invariances, and the torsor axioms.  The CLI `selfcheck` command and the
+acceptance tests both run through here.
 """
 
 from __future__ import annotations
@@ -163,6 +164,11 @@ def _auto_split_plan(g, v, r):
     return SplitPlan(parts)
 
 
+def _exponent(structure):
+    """Largest invariant factor, 1 for the trivial group."""
+    return max(structure.invariant_factors, default=1)
+
+
 def sweep_family(family=None) -> dict:
     """Run the exhaustive cross-validation; returns named CheckResults."""
     if family is None:
@@ -195,8 +201,11 @@ def sweep_family(family=None) -> dict:
             wprod *= g.vertex_weight[v]
         if count * vertex_gcd(g) != countb * wprod:
             bad("matrix-tree", g, "quotient |Pic0|/|Picb0| != prod(w)/gcd(w)")
-        # the two closures share one system of their own; the structures
-        # above and the reducer below each factor the Laplacian themselves
+        # the two closures share one system of their own, an exact inverse
+        # of the Laplacian; the reducer below factors it again itself.  The
+        # structures above take |det| as their Smith modulus, so a diagonal
+        # of the modulus and 1s would match every order; their largest
+        # invariant factors must match this system's exponents too
         bfs_system = LaplacianSystem(g)
         reps = picard.enumerate_coset_representatives_bruteforce(
             g, 0, system=bfs_system)
@@ -205,6 +214,12 @@ def sweep_family(family=None) -> dict:
         if len(reps) != count or len(repsb) != countb:
             bad("matrix-tree", g,
                 f"brute-force counts {len(reps)}/{len(repsb)} vs {count}/{countb}")
+        e0 = bfs_system.e
+        eb = math.lcm(*(e0 // math.gcd(e0, *bfs_system.vector_key(gen)[1])
+                        for gen in picard._balanced_deg0_generators(g)))
+        if _exponent(s0) != e0 or _exponent(sb) != eb:
+            bad("matrix-tree", g, f"exponents {_exponent(s0)}/{_exponent(sb)} "
+                                  f"vs inverse {e0}/{eb}")
 
         # completeness of sub-weighted trees
         try:

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from chipfire import intlinalg, picard
 from chipfire.family import pleasant_family
 from chipfire.selfcheck import (check_divisor_properties, check_fig2_tours,
                                 check_index1, check_laplacian_example,
@@ -69,6 +70,30 @@ def test_criterion_4_weighted_matrix_tree(sweep):
     _report(4, "tree-sum = reduced-Laplacian determinant = Smith order = "
                "brute-force coset count (plain and balanced) on the full "
                "family", ok, f"{res.detail}, sweep {elapsed:.1f}s")
+
+
+def test_criterion_4_catches_a_smith_diagonal_of_modulus_and_ones(monkeypatch):
+    # The structures take |det| as their Smith modulus, so a diagonal of the
+    # modulus followed by 1s has the right order; on graphs whose Jacobian
+    # is not cyclic only the exponent cross-check can see it.
+    graphs = [g for g in pleasant_family(max_vertices=3, max_edges=3,
+                                         max_weight=2)
+              if len(picard.pic0_structure(g).invariant_factors) > 1][:4]
+    assert len(graphs) == 4
+    assert sweep_family(graphs)["matrix-tree"].passed
+
+    def modulus_then_ones(A, m):
+        return [m] + [1] * (min(len(A), len(A[0]) if A else 0) - 1)
+
+    monkeypatch.setattr(intlinalg, "smith_diagonal", modulus_then_ones)
+    for g in graphs:
+        s0 = picard.pic0_structure(g)
+        assert s0.order == picard.count_pic0(g) and len(s0.invariant_factors) == 1
+    results = sweep_family(graphs)
+    assert not results["matrix-tree"].passed
+    exponent_failures = {id(g) for name, g, msg in results["_stats"].failures
+                         if name == "matrix-tree" and msg.startswith("exponents")}
+    assert exponent_failures == {id(g) for g in graphs}
 
 
 def test_criterion_5_completeness(sweep):

@@ -330,6 +330,21 @@ def test_malformed_input_exits_1(tmp_path, capsys, command, files, extra):
         assert "potential mentions" in err
 
 
+@pytest.mark.parametrize("fiber, message", [
+    ({"components": [{"id": 1}, {"id": "1"}],
+      "nodes": [{"id": "p", "ends": [1, "1"]}]},
+     "component ids 1 and '1' are the same key in JSON output"),
+    ({"components": [{"id": "C"}],
+      "nodes": [{"id": 3, "ends": ["C", "C"]}, {"id": "3", "ends": ["C", "C"]}]},
+     "node ids 3 and '3' are the same key in JSON output"),
+])
+def test_fiber_twin_ids_name_components_and_nodes(tmp_path, capsys, fiber,
+                                                  message):
+    code, out, err = _run(capsys, "fiber", "--fiber",
+                          _write(tmp_path, "f.json", fiber))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_potential_missing_a_vertex_exits_1(tmp_path, capsys):
     g = {"vertices": [{"id": "u"}, {"id": "v"}],
          "edges": [{"id": "e", "ends": ["u", "v"]}]}

@@ -108,7 +108,7 @@ def test_class_key_separates_classes(tw):
 # exit code 3.
 _OPTIMIZED_CHECKS = r"""
 import sys
-from chipfire import cli, divisors
+from chipfire import cli, divisors, intlinalg
 from chipfire.divisors import Divisor
 from chipfire.errors import InternalError
 from chipfire.selfcheck import triangle_tw
@@ -116,12 +116,15 @@ from chipfire.selfcheck import triangle_tw
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 g = triangle_tw()
-divisors.LaplacianSystem.solve_potential = lambda self, D: dict.fromkeys(g.vertices, 0)
+# equivalent's solver returns the zero potential, which certifies nothing
+solve = intlinalg.solve
+intlinalg.solve = lambda A, b: ([0] * len(b), 1)
 try:
     divisors.equivalent(g, Divisor({"v1": 2, "v2": -2, "v3": 0}), Divisor.zero(g))
     print("equivalent accepted a wrong certificate")
 except InternalError:
     print("equivalent raised")
+intlinalg.solve = solve
 divisors.LaplacianSystem.solve_potential = lambda self, D: None
 print("reduce exit", cli.main(["reduce", "--graph", sys.argv[1],
                                "--divisor", sys.argv[2]]))

@@ -87,6 +87,40 @@ def test_solve_detects_unsolvable():
         assert any(c % e for c in _matvec(X, b))
 
 
+@given(square_matrices, st.lists(st.integers(-9, 9), min_size=5, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_fraction_free_solve_matches_sympy(A, b):
+    b = b[:len(A)]
+    d = sympy.Matrix(A).det()
+    if d == 0:
+        with pytest.raises(ValueError):
+            intlinalg.solve(A, b)
+        return
+    y, got_d = intlinalg.solve(A, b)
+    assert got_d == d
+    assert sympy.Matrix(y) == d * sympy.Matrix(A).LUsolve(sympy.Matrix(b))
+    assert _matvec(A, y) == [d * c for c in b]
+
+
+def test_fraction_free_solve_of_singular_and_empty_matrices():
+    for A in ([[0]], [[1, 2], [2, 4]], [[0, 0, 1], [0, 0, 2], [1, 1, 1]]):
+        with pytest.raises(ValueError):
+            intlinalg.solve(A, [1] * len(A))
+    assert intlinalg.solve([], []) == ([], 1)
+
+
+def test_fraction_free_solve_on_weighted_laplacians():
+    rng = random.Random(2)
+    for n in (10, 20, 40, 60):
+        Lr = [row[1:] for row in _random_laplacian(rng, n)[1:]]
+        b = [rng.randint(-5, 5) for _ in range(n - 1)]
+        y, d = intlinalg.solve(Lr, b)
+        X, e = intlinalg.inverse(Lr)
+        assert d == intlinalg.det(Lr)
+        # d A^-1 b computed twice: from the solve and from the inverse
+        assert [c * e for c in y] == [d * c for c in _matvec(X, b)]
+
+
 @given(st.lists(st.integers(-12, 12), min_size=1, max_size=5))
 @settings(max_examples=100, deadline=None)
 def test_kernel_basis(w):
@@ -103,6 +137,13 @@ def test_kernel_basis(w):
 @settings(max_examples=150, deadline=None)
 def test_det_matches_sympy(A):
     assert intlinalg.det(A) == sympy.Matrix(A).det()
+
+
+def test_det_of_empty_and_singular_matrices():
+    assert intlinalg.det([]) == 1
+    assert intlinalg.det([[0, 0], [0, 0]]) == 0
+    assert intlinalg.det([[0, 1], [1, 0]]) == -1
+    assert intlinalg.det([[0, 0, 1], [0, 0, 2], [1, 1, 1]]) == 0
 
 
 def test_lattice_quotient_simple():

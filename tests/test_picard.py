@@ -7,6 +7,7 @@ from chipfire import (Divisor, LaplacianSystem, PreconditionError,
                       WeightedMultigraph, count_pic0, count_picb0, degree,
                       enumerate_coset_representatives_bruteforce, equivalent,
                       is_balanced, laplacian, pic0_structure, picb0_structure)
+from chipfire.divisors import reduced_laplacian
 from chipfire.picard import balanced_divisor_of_degree
 from chipfire import intlinalg
 from chipfire.selfcheck import tree_sum
@@ -186,3 +187,58 @@ def test_incremental_coset_keys_match_per_vector_keys(tw, four_edge_pleasant):
                 g, 0, balanced_only=balanced_only)
             assert got == _bfs_per_vector_keys(g, 0, balanced_only)
             assert len(got) == count
+
+
+def _inverse_oracle_structures(g):
+    """Both structures as Smith diagonals modulo the exponent that an exact
+    inverse of the reduced Laplacian gives."""
+    Lr, keep = reduced_laplacian(g)
+    _, e = intlinalg.inverse(Lr)
+    L = g.laplacian_matrix()
+    B = [[L[i][j] // g.vertex_weight[v] for j in keep]
+         for i, v in enumerate(g.vertices)]
+    return tuple(tuple(d for d in intlinalg.smith_diagonal(A, e) if d > 1)
+                 for A in (Lr, B))
+
+
+def _disjoint_sum(g, h):
+    rename = {v: f"h{v}" for v in h.vertices}
+    return WeightedMultigraph.build(
+        [*g.vertices, *rename.values()],
+        [(e.id, e.ends) for e in g.edges]
+        + [(f"h{e.id}", tuple(rename[v] for v in e.ends)) for e in h.edges],
+        {**g.vertex_weight,
+         **{rename[v]: w for v, w in h.vertex_weight.items()}},
+        {**g.edge_weight, **{f"h{eid}": w for eid, w in h.edge_weight.items()}})
+
+
+def test_structures_and_equivalence_without_the_inverse():
+    rng = random.Random(12)
+    graphs = [_random_pleasant(rng, n) for n in range(10, 61, 10)]
+    graphs.append(_disjoint_sum(_random_pleasant(rng, 10),
+                                _random_pleasant(rng, 15)))
+    graphs.append(WeightedMultigraph.build(["v"], [], {"v": 2}))
+    for g in graphs:
+        assert (pic0_structure(g).invariant_factors,
+                picb0_structure(g).invariant_factors) \
+            == _inverse_oracle_structures(g)
+        system = LaplacianSystem(g)
+        D1 = Divisor({v: rng.randint(-3, 3) for v in g.vertices})
+        D2 = D1 + laplacian(g, {v: rng.randint(-3, 3) for v in g.vertices})
+        comp = g.components()[0]
+        pairs = [(D1, D2)]
+        if len(comp) > 1:
+            # a degree-0 step inside one component: equivalent or not,
+            # both routes must agree
+            pairs += [(D1, D2 + Divisor({comp[0]: k, comp[-1]: -k}))
+                      for k in (1, 2, 3)]
+        if not g.is_connected():
+            other = g.components()[1][0]
+            pairs.append((D1, D1 + Divisor({comp[0]: 1, other: -1})))
+        for A, B in pairs:
+            want = system.solve_potential(A - B)
+            cert = equivalent(g, A, B)
+            assert (None if cert is None else cert.potential) == want
+        assert equivalent(g, D1, D2) is not None
+        if not g.is_connected():
+            assert equivalent(g, *pairs[-1]) is None
