@@ -15,8 +15,8 @@ import itertools
 from dataclasses import dataclass
 from operator import sub
 
-from .divisors import (Divisor, EquivalenceCertificate, LaplacianSystem,
-                       degree)
+from .divisors import (Divisor, LaplacianSystem, check_on_graph, degree,
+                       equivalent)
 from .errors import GraphInputError, InternalError, PreconditionError
 from .graphs import component_genera, is_int
 from .trees import enumerate_forests, is_maximal_forest
@@ -336,8 +336,12 @@ def hat_reference_shift(g) -> Divisor:
 
 def reduce(g, D, roots=None, starts=None):
     """The unique sub-weighted forest equivalent to D (roots and starts as
-    in `resolve_roots`) and a chip-firing certificate: a walk to D's class
-    that holds one forest's keys at a time, checked by `tree_divisor`."""
+    in `resolve_roots`) and a chip-firing certificate from `equivalent`.
+
+    D may name only vertices of g.  The forest comes from a walk to D's
+    class that holds one forest's keys at a time; the certificate's
+    Laplacian is checked to equal D minus the forest's tree divisor."""
+    check_on_graph(g, D)
     roots, starts = resolve_roots(g, roots, starts)
     want = tuple(genus - 1 for genus in component_genera(g))
     if len(want) == 1 and degree(D) != want[0]:
@@ -354,11 +358,11 @@ def reduce(g, D, roots=None, starts=None):
         raise InternalError("no sub-weighted forest lands in the class of a "
                             "divisor of the right degrees; completeness is violated")
     ts = _with_sigma(g, forest, combo, roots, starts)
-    cert = system.solve_potential(D - tree_divisor(g, ts))
+    cert = equivalent(g, D, tree_divisor(g, ts))
     if cert is None:
         raise InternalError("reduction found a representative with no "
                             "chip-firing certificate")
-    return ts, EquivalenceCertificate(potential=cert)
+    return ts, cert
 
 
 def torsor_act(g, D0, ts: SubweightedTree) -> SubweightedTree:

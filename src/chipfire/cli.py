@@ -135,6 +135,8 @@ def _cmd_laplacian(args):
 
 
 def _cmd_reduce(args):
+    if args.start is not None and args.root is None:
+        raise GraphInputError("--start needs --root: it names an edge at the root")
     g = _load_graph(args.graph)
     D = _load_divisor(g, args.divisor)
     roots = None if args.root is None else (args.root,)
@@ -209,6 +211,12 @@ def _cmd_fiber(args):
 
 
 def _cmd_selfcheck(args):
+    # a family with no graph would pass every sweep criterion vacuously
+    for flag, value, least in (("--max-vertices", args.max_vertices, 1),
+                               ("--max-edges", args.max_edges, 0),
+                               ("--max-weight", args.max_weight, 1)):
+        if value < least:
+            raise GraphInputError(f"{flag} must be at least {least}, got {value}")
     ok = run_selfcheck(seed=args.seed, max_vertices=args.max_vertices,
                        max_edges=args.max_edges, max_weight=args.max_weight)
     return 0 if ok else 1

@@ -111,15 +111,16 @@ def reduced_laplacian(g):
 
 
 class LaplacianSystem:
-    """Exact inverse of the reduced Laplacian L_r of one graph: L_r X = e I,
-    with e the exponent of the Jacobian.
+    """Class keys from the exact inverse of the reduced Laplacian L_r of one
+    graph: L_r X = e I, with e the exponent of the Jacobian.
 
     A divisor D is principal iff its degree on every component is 0 and
-    X D_r is divisible by e, where D_r drops the roots' coefficients.  That
-    gives class keys (two divisors are chip-firing equivalent iff their
-    keys agree) and exact integer solves of Laplacian(f) = D.  Keys are
-    taken of int vectors in vertex order (`vector_key`) or of divisors
-    (`class_key`); the key part X D_r mod e is linear in the vector.
+    X D_r is divisible by e, where D_r drops the roots' coefficients, so
+    two divisors are chip-firing equivalent iff their keys (per-component
+    degrees and X D_r mod e) agree.  Keys are taken of int vectors in
+    vertex order (`vector_key`) or of divisors (`class_key`); the key part
+    X D_r mod e is linear in the vector.  Certificates come from
+    `equivalent`, which solves its own system.
     """
 
     def __init__(self, g: WeightedMultigraph):
@@ -128,30 +129,14 @@ class LaplacianSystem:
         self.X, self.e = intlinalg.inverse(Lr)
         self.comps = [[g.vindex(v) for v in comp] for comp in g.components()]
 
-    def _reduce(self, vec):
-        """Per-component degrees of the vector and X vec_r."""
-        degrees = tuple(sum(vec[i] for i in comp) for comp in self.comps)
-        vr = [vec[i] for i in self.keep]
-        return degrees, [sum(map(mul, row, vr)) for row in self.X]
-
     def vector_key(self, vec):
         """Class key of the divisor with coefficients vec in vertex order."""
-        degrees, y = self._reduce(vec)
-        return degrees, tuple(c % self.e for c in y)
+        degrees = tuple(sum(vec[i] for i in comp) for comp in self.comps)
+        vr = [vec[i] for i in self.keep]
+        return degrees, tuple(sum(map(mul, row, vr)) % self.e for row in self.X)
 
     def class_key(self, D: Divisor):
         return self.vector_key(D.vector(self.g))
-
-    def solve_potential(self, D: Divisor):
-        """Integer f with Laplacian(f) = D, zero at each component's first
-        vertex, or None."""
-        degrees, y = self._reduce(D.vector(self.g))
-        if any(degrees) or any(c % self.e for c in y):
-            return None
-        f = dict.fromkeys(self.g.vertices, 0)
-        for i, c in zip(self.keep, y):
-            f[self.g.vertices[i]] = c // self.e
-        return f
 
 
 def equivalent(g, D1, D2):

@@ -12,40 +12,6 @@ from operator import mul
 from .errors import InternalError
 
 
-def inverse(A):
-    """Scaled integral inverse of a nonsingular square matrix.
-
-    Returns (X, e) with A*X == e*I and e > 0 minimal, so e is the exponent
-    of the cokernel Z^n / A Z^n.  Fraction-free Gauss-Jordan elimination
-    (Bareiss) on [A | I] keeps every intermediate entry a minor of it.
-    Raises ValueError if A is singular.
-    """
-    n = len(A)
-    M = [[int(x) for x in row] + [int(i == j) for j in range(n)]
-         for i, row in enumerate(A)]
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if M[i][k]), None)
-        if p is None:
-            raise ValueError("singular matrix has no inverse")
-        M[k], M[p] = M[p], M[k]
-        pivot_row = M[k]
-        pivot = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                row = M[i]
-                f = row[k]
-                M[i] = [(pivot * a - f * b) // prev
-                        for a, b in zip(row, pivot_row)]
-        prev = pivot
-    # now M == [d*I | d*A^-1] with d = +-det(A); divide out the common content
-    X = [row[n:] for row in M]
-    c = math.gcd(prev, *(x for row in X for x in row))
-    if prev < 0:
-        c = -c
-    return [[x // c for x in row] for row in X], prev // c
-
-
 def smith_diagonal(A, m):
     """Smith diagonal of A modulo m > 0: [gcd(s_i, m)] for i < min(rows, cols),
     where s_1 | s_2 | ... is the Smith diagonal of A over the integers.
@@ -185,6 +151,34 @@ def _eliminate(M, n):
     return sign * M[n - 1][n - 1]
 
 
+def _solve_columns(A, cols):
+    """(Y, d) with d = det(A) and A y == d c for each column c of cols and
+    its y in Y, for a nonsingular square A.
+
+    One fraction-free elimination on [A | cols], then back-substitution of
+    each column with exact division: y = d A^-1 c is integral by Cramer's
+    rule, so a remainder means an internal fault.  Raises ValueError if A
+    is singular.
+    """
+    n = len(A)
+    M = [[*map(int, row), *map(int, crow)] for row, crow in zip(A, zip(*cols))]
+    d = _eliminate(M, n)
+    if d == 0:
+        raise ValueError("singular matrix")
+    Y = []
+    for j in range(n, n + len(cols)):
+        y = [0] * n
+        for k in range(n - 1, -1, -1):
+            row = M[k]
+            y[k], r = divmod(d * row[j] - sum(map(mul, row[k + 1:n], y[k + 1:])),
+                             row[k])
+            if r:
+                raise InternalError("fraction-free back-substitution left a "
+                                    "remainder")
+        Y.append(y)
+    return Y, d
+
+
 def det(A):
     """Exact determinant of a square integer matrix (Bareiss)."""
     return _eliminate([list(map(int, row)) for row in A], len(A))
@@ -192,23 +186,23 @@ def det(A):
 
 def solve(A, b):
     """(y, d) with A y == d b and d = det(A), for a nonsingular square A.
+    Raises ValueError if A is singular."""
+    (y,), d = _solve_columns(A, [b])
+    return y, d
 
-    One fraction-free elimination on [A | b], then back-substitution with
-    exact division: y = d A^-1 b is integral by Cramer's rule, so a
-    remainder means an internal fault.  Raises ValueError if A is
-    singular.
+
+def inverse(A):
+    """Scaled integral inverse of a nonsingular square matrix.
+
+    Returns (X, e) with A*X == e*I and e > 0 minimal, so e is the exponent
+    of the cokernel Z^n / A Z^n: the columns of det(A) A^-1, solved against
+    I, divided by their common content with det(A).  Raises ValueError if A
+    is singular.
     """
     n = len(A)
-    M = [[int(x) for x in row] + [int(c)] for row, c in zip(A, b)]
-    d = _eliminate(M, n)
-    if d == 0:
-        raise ValueError("singular matrix has no solve")
-    y = [0] * n
-    for k in range(n - 1, -1, -1):
-        row = M[k]
-        s = d * row[n] - sum(map(mul, row[k + 1:n], y[k + 1:]))
-        y[k], r = divmod(s, row[k])
-        if r:
-            raise InternalError("fraction-free back-substitution left a "
-                                "remainder")
-    return y, d
+    Y, d = _solve_columns(A, [[int(i == j) for i in range(n)]
+                              for j in range(n)])
+    c = math.gcd(d, *(x for y in Y for x in y))
+    if d < 0:
+        c = -c
+    return [[y[i] // c for y in Y] for i in range(n)], d // c

@@ -192,6 +192,20 @@ def test_reduce_checks_component_degrees_before_the_walk(tw, monkeypatch):
         g, tree_divisor(g, ts) + off, roots, starts)[0]
 
 
+def test_reduce_rejects_vertices_the_graph_lacks():
+    # two components, each a pair of parallel edges: the walk and the
+    # per-component degrees would ignore "ghost"
+    g = WeightedMultigraph.build(
+        list("abcd"), [("e1", ("a", "b")), ("e2", ("a", "b")),
+                       ("e3", ("c", "d")), ("e4", ("c", "d"))])
+    D = Divisor({"a": 1, "b": -1, "c": 0, "d": 0, "ghost": 7})
+    with pytest.raises(GraphInputError, match="ghost"):
+        bernardi_reduce(g, D)
+    ts = bernardi_reduce(g, Divisor({"a": 1, "b": -1, "c": 0, "d": 0}))[0]
+    with pytest.raises(GraphInputError, match="ghost"):
+        torsor_act(g, Divisor({"ghost": 7}), ts)
+
+
 def test_triangle_qorientable_divisors_exhaust_classes(triangle):
     divisors = [Divisor({"v1": 0, "v2": -1, "v3": 1}),
                 Divisor({"v1": 1, "v2": -1, "v3": 0}),

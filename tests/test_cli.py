@@ -277,6 +277,7 @@ TWIN_EDGES = {"vertices": [{"id": "u"}, {"id": "v"}],
     _act(TREE, "weight-true", graph=TRUE_WEIGHT),
     _reduce(["--root", "zz"], "reduce-root-unknown"),
     _reduce(["--root", "v2", "--start", "b"], "reduce-start-not-at-root"),
+    _reduce(["--start", "a"], "reduce-start-without-root"),
     _reduce([], "divisor-true",
             divisor={"coefficients": {"v1": True, "v2": 0, "v3": 0}}),
     _reduce([], "divisor-unknown-vertex",
@@ -318,6 +319,12 @@ TWIN_EDGES = {"vertices": [{"id": "u"}, {"id": "v"}],
         "nodes": [{"id": 3, "ends": ["C", "C"]},
                   {"id": "3", "ends": ["C", "C"]}]}}, [],
         id="fiber-node-ids-twin"),
+    # a family with no graph would PASS every criterion
+    pytest.param("selfcheck", {}, ["--max-vertices", "0"], id="max-vertices-0"),
+    pytest.param("selfcheck", {}, ["--max-vertices", "-3"],
+                 id="max-vertices-negative"),
+    pytest.param("selfcheck", {}, ["--max-weight", "0"], id="max-weight-0"),
+    pytest.param("selfcheck", {}, ["--max-edges", "-1"], id="max-edges-negative"),
 ])
 def test_malformed_input_exits_1(tmp_path, capsys, command, files, extra):
     argv = [command]
@@ -328,6 +335,10 @@ def test_malformed_input_exits_1(tmp_path, capsys, command, files, extra):
     assert err.startswith("error: ") and "Traceback" not in err
     if command == "laplacian":
         assert "potential mentions" in err
+    if "--start" in extra and "--root" not in extra:
+        assert "--start" in err and "--root" in err
+    if command == "selfcheck":
+        assert extra[0] in err
 
 
 @pytest.mark.parametrize("fiber, message", [
@@ -431,3 +442,10 @@ def test_trees_output_memory_does_not_grow_with_the_group(tmp_path, monkeypatch)
         tracemalloc.stop()
     assert code == 0 and sink.size > 10125 * 200
     assert peak < 2 * 2**20
+
+
+def test_selfcheck_with_no_edges_sweeps_the_one_vertex_graphs(capsys):
+    code, out, _ = _run(capsys, "selfcheck", "--max-vertices", "1",
+                        "--max-edges", "0")
+    assert code == 0 and "FAIL" not in out
+    assert "matrix-tree sweep" in out and "[3 graphs]" in out

@@ -106,7 +106,10 @@ def test_fraction_free_solve_of_singular_and_empty_matrices():
     for A in ([[0]], [[1, 2], [2, 4]], [[0, 0, 1], [0, 0, 2], [1, 1, 1]]):
         with pytest.raises(ValueError):
             intlinalg.solve(A, [1] * len(A))
+        with pytest.raises(ValueError):
+            intlinalg.inverse(A)
     assert intlinalg.solve([], []) == ([], 1)
+    assert intlinalg.inverse([]) == ([], 1)
 
 
 def test_fraction_free_solve_on_weighted_laplacians():
@@ -119,6 +122,10 @@ def test_fraction_free_solve_on_weighted_laplacians():
         assert d == intlinalg.det(Lr)
         # d A^-1 b computed twice: from the solve and from the inverse
         assert [c * e for c in y] == [d * c for c in _matvec(X, b)]
+        # A X == e I by plain integer multiplication, with e minimal
+        assert [_matvec(Lr, col) for col in zip(*X)] == \
+            [[e * (i == j) for i in range(n - 1)] for j in range(n - 1)]
+        assert e > 0 and math.gcd(e, *(x for row in X for x in row)) == 1
 
 
 @given(st.lists(st.integers(-12, 12), min_size=1, max_size=5))
