@@ -12,11 +12,12 @@ stops when the start state recurs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import sub
 
 from .divisors import (Divisor, LaplacianSystem, check_on_graph, degree,
-                       equivalent)
+                       equivalent, require_pleasant)
 from .errors import GraphInputError, InternalError, PreconditionError
 from .graphs import component_genera, is_int
 from .trees import enumerate_forests, is_maximal_forest
@@ -174,15 +175,9 @@ def orientation_divisor(g, O: Orientation) -> Divisor:
     return Divisor({v: indeg[v] - 1 for v in g.vertices})
 
 
-def _affine_residues(g, forest, starts, cols, moduli):
-    """Tour a checked maximal forest, in declaration order, once from
-    resolved starts.  Returns the vector of D_{T,sigma} at sigma = 1 and,
-    for every sigma in sigma-lexicographic order, the residues of
-    sum_v D_{T,sigma}(v) cols[v] modulo moduli (cols in vertex order).
-    D_{T,sigma} gains e_head - e_tail per unit of sigma on a forest edge,
-    so each sub-weighting costs one new residue tuple, no tour or divisor.
-    """
-    orient = _orient(g, forest, starts)
+def _unit_vector(g, forest, orient):
+    """D_{T,sigma} in vertex order at sigma = 1 on the forest edges, from
+    the forest's tour orientation."""
     index = g.vertex_index
     in_forest = set(forest)
     vec = [-g.vertex_weight[v] for v in g.vertices]
@@ -195,6 +190,21 @@ def _affine_residues(g, forest, starts, cols, moduli):
         s = 1 if e.id in in_forest else w
         vec[index[head]] += s
         vec[index[tail]] += w - s
+    return vec
+
+
+def _affine_residues(g, forest, starts, cols, moduli):
+    """The class keys' residues of a checked maximal forest's
+    sub-weightings, toured once, in declaration order, from resolved
+    starts.  Returns the vector of D_{T,sigma} at sigma = 1 and, for every
+    sigma in sigma-lexicographic order, the residues of
+    sum_v D_{T,sigma}(v) cols[v] modulo moduli (cols in vertex order).
+    D_{T,sigma} gains e_head - e_tail per unit of sigma on a forest edge,
+    so each sub-weighting costs one new residue tuple, no tour or divisor.
+    """
+    orient = _orient(g, forest, starts)
+    index = g.vertex_index
+    vec = _unit_vector(g, forest, orient)
     residues = [tuple(sum(c * col[j] for c, col in zip(vec, cols)) % m
                       for j, m in enumerate(moduli))]
     for eid in forest:
@@ -210,31 +220,118 @@ def _affine_residues(g, forest, starts, cols, moduli):
     return vec, residues
 
 
+def _crt(a, m, b, n):
+    """(x, lcm(m, n)) with x = a mod m and x = b mod n, or None when the
+    two congruences clash."""
+    if m == 1:
+        return b % n, n
+    d = math.gcd(m, n)
+    if (b - a) % d:
+        return None
+    k = (b - a) // d * pow(m // d, -1, n // d) % (n // d)
+    lcm = m // d * n
+    return (a + m * k) % lcm, lcm
+
+
+def _balanced_combos(g, forest, starts):
+    """The sigma values on a checked maximal forest's edges, in
+    sigma-lexicographic order, of the sub-weightings whose tree divisor is
+    balanced, toured once from resolved starts.
+
+    A unit of sigma on a forest edge adds 1 to D_{T,sigma} at its head and
+    takes 1 at its tail, so D(h) = c_h + sum of +-sigma over h's forest
+    edges, and D is balanced at a vertex h of weight > 1 iff that sum is
+    -c_h mod w(h).  The partial tuples grow one forest edge at a time; the
+    last forest edge at h takes only the sigma that meet h's congruence
+    (the CRT intersection of two congruences when it is the last at both
+    its ends, none when they clash).  A heavy vertex without forest edges
+    is a constant check.
+    """
+    orient = _orient(g, forest, starts)
+    vec = _unit_vector(g, forest, orient)
+    index = g.vertex_index
+    at = {}  # heavy vertex -> [(position in forest, +1 head / -1 tail)]
+    for k, eid in enumerate(forest):
+        tail, head = orient[eid]
+        for v, sign in ((head, 1), (tail, -1)):
+            if g.vertex_weight[v] > 1:
+                at.setdefault(v, []).append((k, sign))
+    closing = [[] for _ in forest]  # per position: (c_h, w(h), sign, earlier)
+    for v in g.vertices:
+        w, d = g.vertex_weight[v], vec[index[v]]
+        if w == 1:
+            continue
+        if v not in at:
+            if d % w:
+                return []
+            continue
+        *earlier, (k, sign) = at[v]
+        closing[k].append((d - sum(s for _, s in at[v]), w, sign, earlier))
+
+    def allowed(ends, w, p):
+        # c + sum(earlier) + sign * sigma = 0 mod w(h) for each closed end h
+        a, m = 0, 1
+        for c, mod, sign, earlier in ends:
+            am = _crt(a, m, -sign * (c + sum(s * p[j] for j, s in earlier)),
+                      mod)
+            if am is None:
+                return ()
+            a, m = am
+        return range(1 + (a - 1) % m, w + 1, m)
+
+    partials = [()]
+    for k, eid in enumerate(forest):
+        w, ends = g.edge_weight[eid], closing[k]
+        if any(earlier for *_, earlier in ends):
+            partials = [p + (s,) for p in partials for s in allowed(ends, w, p)]
+        else:  # the same sigma for every partial tuple
+            r = allowed(ends, w, ())
+            partials = [p + (s,) for p in partials for s in r]
+    return partials
+
+
+def _sigma_combos(g, forest, starts, balanced_only):
+    """The sigma values on a checked maximal forest's edges of its
+    sub-weightings, or of its balanced ones, in sigma-lexicographic order.
+    Without a vertex of weight > 1 every sub-weighting is balanced."""
+    if balanced_only and any(w > 1 for w in g.vertex_weight.values()):
+        return _balanced_combos(g, forest, starts)
+    return itertools.product(*(range(1, g.edge_weight[eid] + 1)
+                               for eid in forest))
+
+
 def _with_sigma(g, forest, combo, roots, starts):
     return SubweightedTree(forest, {**g.edge_weight, **dict(zip(forest, combo))},
                            roots, starts)
 
 
 def subweighting_combos(g, T, balanced_only=False, roots=None, starts=None):
-    """The checked tree of the forest T (sigma = w) and an iterator over the
+    """The checked tree of the forest T (sigma = w) and an iterable of the
     sigma values on its forest edges, in their order, of every sub-weighting
-    in sigma-lexicographic order.
+    in sigma-lexicographic order.  Raises GraphInputError when T is not a
+    maximal spanning forest of g.
 
-    With balanced_only, only those whose tree divisor is balanced: the
-    residues of D_{T,sigma} at the vertices of weight > 1, modulo their
-    weights, come from one tour (`_affine_residues`).
+    With balanced_only, only those whose tree divisor is balanced, solved
+    for as congruences at the vertices of weight > 1 (`_balanced_combos`)
+    rather than filtered.
     """
     base = SubweightedTree.build(g, T, roots=roots, starts=starts)
-    forest = base.forest_edges
-    combos = itertools.product(*(range(1, g.edge_weight[eid] + 1)
-                                 for eid in forest))
+    return base, _sigma_combos(g, base.forest_edges, base.starts, balanced_only)
+
+
+def all_subweighting_combos(g, balanced_only=False):
+    """`subweighting_combos` of every forest of `enumerate_forests(g)`, in
+    its order, with g's default roots and starts: the representatives that
+    `trees`, `trees --balanced` and `fiber` write.  The roots resolve once,
+    and the forests, which it enumerates itself, are not checked again.
+    With balanced_only, raises PreconditionError at once on a graph that
+    is not pleasant."""
     if balanced_only:
-        heavy = [v for v in g.vertices if g.vertex_weight[v] > 1]
-        cols = [tuple(int(v == h) for h in heavy) for v in g.vertices]
-        _, residues = _affine_residues(g, forest, base.starts, cols,
-                                       [g.vertex_weight[h] for h in heavy])
-        combos = itertools.compress(combos, [not any(r) for r in residues])
-    return base, combos
+        require_pleasant(g, "balanced enumeration")
+    roots, starts = resolve_roots(g)
+    return ((SubweightedTree(forest, dict(g.edge_weight), roots, starts),
+             _sigma_combos(g, forest, starts, balanced_only))
+            for forest in enumerate_forests(g))
 
 
 def enumerate_subweightings(g, T, balanced_only=False, roots=None, starts=None):

@@ -6,14 +6,15 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .bernardi import enumerate_subweightings
+from .bernardi import _with_sigma, all_subweighting_combos
 from .divisors import Divisor, LaplacianSystem, degree, is_balanced
 from .errors import GraphInputError, InternalError, PreconditionError
 from .graphs import (VertexSplitMap, WeightedMultigraph, _distinct_json_keys,
                      is_int, validate)
 from .picard import (enumerate_coset_representatives_bruteforce,
                      picb0_structure)
-from .trees import enumerate_forests
+# unused here; perfbench's tests check that its tracer rebinds this alias
+from .trees import enumerate_forests  # noqa: F401
 
 PHI_NOTE_GENERIC = ("arithmetic component group; equals the geometric "
                     "component group when all component indices are 1")
@@ -85,11 +86,11 @@ def dual_graph(f: SpecialFiberDescription) -> WeightedMultigraph:
 
 
 def balanced_representatives(g):
-    """All balanced sub-weighted forests, in (forest, sigma) lexicographic order."""
-    out = []
-    for forest in enumerate_forests(g):
-        out.extend(enumerate_subweightings(g, forest, balanced_only=True))
-    return out
+    """All balanced sub-weighted forests, in (forest, sigma) lexicographic
+    order.  Raises PreconditionError on a graph that is not pleasant."""
+    return [_with_sigma(g, base.forest_edges, combo, base.roots, base.starts)
+            for base, combos in all_subweighting_combos(g, balanced_only=True)
+            for combo in combos]
 
 
 def component_group(f: SpecialFiberDescription):

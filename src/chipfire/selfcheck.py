@@ -244,10 +244,15 @@ def sweep_family(family=None) -> dict:
                 bad("completeness", g, f"tree divisor degree {degree(D)} != {gm1}")
             if is_balanced(g, D):
                 balanced_ts.append(ts)
+        # the congruences that generate the balanced trees against the
+        # table's trees whose divisor is balanced, tree by tree
         bal_list = balanced_representatives(g)
         if len(bal_list) != countb or len(balanced_ts) != countb:
             bad("completeness", g,
                 f"balanced trees {len(bal_list)}/{len(balanced_ts)} vs {countb}")
+        elif bal_list != balanced_ts:
+            bad("completeness", g, "balanced representatives are not the "
+                                   "trees whose divisor is balanced")
 
         # hat-graph correspondence
         hat = expand_hat(g)

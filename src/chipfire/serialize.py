@@ -158,11 +158,13 @@ def write_representatives(write, g, subweightings, before=(), after=()):
     subweightings yields (base, combos) per forest, as
     `bernardi.subweighting_combos` returns them: base gives the forest,
     roots and starts, and combos the sigma values on the forest edges.  The
-    representatives of one forest fill one %-template: the sigma keys are
-    fixed per graph, the tree and sigma off the forest per forest, and the
-    roots and starts per (roots, starts).
+    representatives of one forest fill one %-template: the JSON text of
+    every edge id is fixed per graph, the tree and sigma off the forest per
+    forest, and the roots and starts per (roots, starts).
     """
     keys = [f"\n        {_key_text(e.id)}: ".replace("%", "%%") for e in g.edges]
+    ids = {e.id: "\n        " + json.dumps(e.id).replace("%", "%%")
+           for e in g.edges}
     write("{" + "".join(_member(k, v, 2) + "," for k, v in dict(before).items())
           + '\n  "representatives": [')
     roots = tail = None
@@ -172,11 +174,13 @@ def write_representatives(write, g, subweightings, before=(), after=()):
             roots = base.roots, base.starts
             tail = "".join("," + _member(k, v, 6) for k, v in
                            _roots_to_obj(g, *roots).items()).replace("%", "%%")
-        in_forest = set(base.forest_edges)
+        forest = base.forest_edges
+        in_forest = set(forest)
         sigma = ",".join(key + ("%d" if e.id in in_forest else str(g.edge_weight[e.id]))
                          for key, e in zip(keys, g.edges))
-        tree = _member("tree", list(base.forest_edges), 6).replace("%", "%%")
-        template = ("\n    {" + tree + ',\n      "sigma": '
+        tree = ("[" + ",".join(map(ids.__getitem__, forest)) + "\n      ]"
+                if forest else "[]")
+        template = ('\n    {\n      "tree": ' + tree + ',\n      "sigma": '
                     + ("{" + sigma + "\n      }" if keys else "{}")
                     + tail + "\n    }")
         chunk = ",".join(map(template.__mod__, combos))

@@ -8,8 +8,8 @@ import pytest
 from chipfire import bernardi
 from chipfire import (BernardiReducer, Divisor, GraphInputError,
                       PreconditionError, SubweightedTree, WeightedMultigraph,
-                      degree, enumerate_forests, enumerate_subweightings,
-                      enumerate_trees,
+                      count_pic0, degree, enumerate_forests,
+                      enumerate_subweightings, enumerate_trees,
                       equivalent, expand_hat, is_balanced,
                       laplacian, orientation_divisor, torsor_act, tour_forest,
                       tree_divisor, weighted_genus)
@@ -289,11 +289,11 @@ def test_build_rejects(tw, forest, sigma, roots, starts):
         SubweightedTree.build(tw, forest, sigma, roots, starts)
 
 
-def _random_pleasant(rng, n, parts=1):
+def _random_pleasant(rng, n, parts=1, weights=(1, 1, 2, 3)):
     """Random pleasant graph: per part a random tree plus two more edges,
     and one loop; edge weights are multiples of the lcm of their ends."""
     vertices = [f"u{i}" for i in range(n)]
-    vw = {v: rng.choice((1, 1, 2, 3)) for v in vertices}
+    vw = {v: rng.choice(weights) for v in vertices}
     pairs = []
     for vs in (vertices[k::parts] for k in range(parts)):
         pairs += [(vs[i], vs[rng.randrange(i)]) for i in range(1, len(vs))]
@@ -347,6 +347,82 @@ def test_affine_sigma_path_matches_per_tree_path(g):
         assert (moved.roots, moved.starts) == resolved and q in moved.roots
         assert reducer.system.class_key(tree_divisor(g, moved)) \
             == reducer.system.class_key(D0 + tree_divisor(g, ts))
+
+
+def _congruence_graphs():
+    """Graphs for the balanced congruences: seeded random pleasant graphs
+    with vertex weights in {1, 2, 3, 4, 6}, one and two parts, small
+    enough to filter every sub-weighting; and hand-made cases."""
+    rng = random.Random(14)
+    out = []
+    for n, parts in [(3, 1)] * 4 + [(4, 1)] * 6 + [(5, 1)] * 4 + [(5, 2)] * 4:
+        while True:
+            g = _random_pleasant(rng, n, parts, weights=(1, 2, 3, 4, 6))
+            if count_pic0(g) <= 1500:
+                break
+        out.append(pytest.param(g, id=f"n{n}-parts{parts}-{len(out)}"))
+
+    def build(vw, edges, id):
+        g = WeightedMultigraph.build(
+            list(vw), [(eid, ends) for eid, ends, _ in edges], vw,
+            {eid: w for eid, _, w in edges})
+        return pytest.param(g, id=id)
+
+    # the last forest edge at both b (weight 4) and a (weight 2): its
+    # congruences clash when sigma on cb is odd
+    out.append(build({"c": 1, "b": 4, "a": 2},
+                     [("cb", ("c", "b"), 4), ("ba", ("b", "a"), 4),
+                      ("ca", ("c", "a"), 2)], "crt-clash"))
+    # coprime weights 3 and 2 meet at ba: the congruences always agree
+    out.append(build({"c": 1, "b": 3, "a": 2},
+                     [("cb", ("c", "b"), 3), ("ba", ("b", "a"), 6),
+                      ("ca", ("c", "a"), 2)], "crt-coprime"))
+    # an isolated heavy vertex z: bare, with a loop of its weight, and with
+    # a loop that unbalances it in every sub-weighting (not pleasant)
+    path = [("xy", ("x", "y"), 4), ("yx", ("y", "x"), 2)]
+    out.append(build({"x": 2, "y": 1, "z": 2}, path, "isolated-bare"))
+    out.append(build({"x": 2, "y": 1, "z": 2},
+                     path + [("zz", ("z", "z"), 2)], "isolated-loop"))
+    out.append(build({"x": 2, "y": 1, "z": 2},
+                     path + [("zz", ("z", "z"), 3)],
+                     "isolated-unbalancing-loop"))
+    return out
+
+
+@pytest.mark.parametrize("g", _congruence_graphs())
+def test_balanced_congruences_match_the_divisor_filter(g):
+    # default roots and starts, and every component's last vertex at the
+    # last half-edge of its ribbon
+    last = tuple(comp[-1] for comp in g.components())
+    for roots, starts in [(None, None),
+                          (last, {q: g.ribbon[q][-1] for q in last
+                                  if g.ribbon[q]})]:
+        for forest in enumerate_forests(g):
+            subs = enumerate_subweightings(g, forest, roots=roots,
+                                           starts=starts)
+            want = [ts for ts in subs if is_balanced(g, tree_divisor(g, ts))]
+            _, combos = bernardi.subweighting_combos(
+                g, forest, True, roots, starts)
+            assert [dict(zip(forest, c)) for c in combos] \
+                == [{e: ts.sigma[e] for e in forest} for ts in want]
+            assert enumerate_subweightings(g, forest, True, roots,
+                                           starts) == want
+            # the clash drops every odd sigma on cb; the unbalancing loop
+            # leaves nothing
+            if "cb" in forest and "ba" in forest and g.vertex_weight["b"] == 4:
+                assert all(ts.sigma["cb"] % 2 == 0 for ts in want)
+            if g.edge_weight.get("zz") == 3:
+                assert want == []
+
+
+@pytest.mark.parametrize("call", [bernardi.subweighting_combos,
+                                  enumerate_subweightings])
+@pytest.mark.parametrize("forest", [("a",), ("a", "a"), ("a", "zz"), ("c",)])
+@pytest.mark.parametrize("balanced", [False, True])
+def test_per_forest_subweightings_reject_a_forest_that_is_not_maximal(
+        tw, call, forest, balanced):
+    with pytest.raises(GraphInputError):
+        call(tw, forest, balanced)
 
 
 def test_reduce_memory_does_not_grow_with_the_group():

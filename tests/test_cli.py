@@ -356,6 +356,28 @@ def test_fiber_twin_ids_name_components_and_nodes(tmp_path, capsys, fiber,
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+# not pleasant: the edges at a and b have weights that 2 and 3 do not divide
+NOT_PLEASANT = {
+    "vertices": [{"id": "a", "weight": 2}, {"id": "b", "weight": 3},
+                 {"id": "c", "weight": 1}],
+    "edges": [{"id": "ab", "ends": ["a", "b"], "weight": 5},
+              {"id": "bc", "ends": ["b", "c"], "weight": 4},
+              {"id": "ac", "ends": ["a", "c"], "weight": 2},
+              {"id": "aa", "ends": ["a", "a"], "weight": 3}]}
+
+
+@pytest.mark.parametrize("argv", [["count", "--picb0"], ["group", "--picb0"],
+                                  ["trees", "--balanced"]],
+                         ids=["count-picb0", "group-picb0", "trees-balanced"])
+def test_balanced_answers_need_a_pleasant_graph(tmp_path, capsys, argv):
+    path = _write(tmp_path, "g.json", NOT_PLEASANT)
+    code, out, err = _run(capsys, argv[0], "--graph", path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.endswith("requires a pleasant weighting\n")
+    code, out, _ = _run(capsys, argv[0], "--graph", path)
+    assert code == 0 and out
+
+
 def test_potential_missing_a_vertex_exits_1(tmp_path, capsys):
     g = {"vertices": [{"id": "u"}, {"id": "v"}],
          "edges": [{"id": "e", "ends": ["u", "v"]}]}

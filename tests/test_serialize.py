@@ -3,11 +3,14 @@
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipfire import WeightedMultigraph, enumerate_forests
-from chipfire.bernardi import enumerate_subweightings, subweighting_combos
+from chipfire import (PreconditionError, WeightedMultigraph, enumerate_forests,
+                      is_pleasant)
+from chipfire.bernardi import (all_subweighting_combos, enumerate_subweightings,
+                               subweighting_combos)
 from chipfire.serialize import dumps, tree_to_obj, write_representatives
 
 # ids a graph file may hold: strings that need escaping or a %, an int and
@@ -59,6 +62,16 @@ def test_writer_matches_dumps(g, balanced, last_roots):
         roots = tuple(comp[-1] for comp in g.components())
         starts = {q: g.ribbon[q][-1] for q in roots if g.ribbon[q]}
     assert _written(g, balanced, roots, starts) == _dumped(g, balanced, roots, starts)
+    if last_roots:
+        return
+    # the graph-level generator that the CLI streams trusts its own forests
+    if balanced and not is_pleasant(g):
+        with pytest.raises(PreconditionError):
+            all_subweighting_combos(g, balanced)
+    else:
+        out = io.StringIO()
+        write_representatives(out.write, g, all_subweighting_combos(g, balanced))
+        assert out.getvalue() == _dumped(g, balanced)
 
 
 def test_writer_edge_cases():
