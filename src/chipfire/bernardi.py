@@ -193,33 +193,6 @@ def _unit_vector(g, forest, orient):
     return vec
 
 
-def _affine_residues(g, forest, starts, cols, moduli):
-    """The class keys' residues of a checked maximal forest's
-    sub-weightings, toured once, in declaration order, from resolved
-    starts.  Returns the vector of D_{T,sigma} at sigma = 1 and, for every
-    sigma in sigma-lexicographic order, the residues of
-    sum_v D_{T,sigma}(v) cols[v] modulo moduli (cols in vertex order).
-    D_{T,sigma} gains e_head - e_tail per unit of sigma on a forest edge,
-    so each sub-weighting costs one new residue tuple, no tour or divisor.
-    """
-    orient = _orient(g, forest, starts)
-    index = g.vertex_index
-    vec = _unit_vector(g, forest, orient)
-    residues = [tuple(sum(c * col[j] for c, col in zip(vec, cols)) % m
-                      for j, m in enumerate(moduli))]
-    for eid in forest:
-        tail, head = orient[eid]
-        diff = list(map(sub, cols[index[head]], cols[index[tail]]))
-        out = []
-        for r in residues:
-            out.append(r)
-            for _ in range(g.edge_weight[eid] - 1):
-                r = tuple([(c + d) % m for c, d, m in zip(r, diff, moduli)])
-                out.append(r)
-        residues = out
-    return vec, residues
-
-
 def _crt(a, m, b, n):
     """(x, lcm(m, n)) with x = a mod m and x = b mod n, or None when the
     two congruences clash."""
@@ -305,55 +278,69 @@ def _with_sigma(g, forest, combo, roots, starts):
                            roots, starts)
 
 
-def subweighting_combos(g, T, balanced_only=False, roots=None, starts=None):
-    """The checked tree of the forest T (sigma = w) and an iterable of the
-    sigma values on its forest edges, in their order, of every sub-weighting
-    in sigma-lexicographic order.  Raises GraphInputError when T is not a
-    maximal spanning forest of g.
+def all_subweighting_combos(g, balanced_only=False):
+    """(forest, combos) per forest of `enumerate_forests(g)`, in its order,
+    toured from g's default roots and starts: combos gives the sigma values
+    on the forest's edges of its sub-weightings (balanced ones only with
+    balanced_only) in sigma-lexicographic order.  These are what `trees`,
+    `trees --balanced` and `fiber` write; the forests are not checked
+    again.  With balanced_only, raises PreconditionError at once on a graph
+    that is not pleasant."""
+    if balanced_only:
+        require_pleasant(g, "balanced enumeration")
+    _, starts = resolve_roots(g)
+    return ((forest, _sigma_combos(g, forest, starts, balanced_only))
+            for forest in enumerate_forests(g))
+
+
+def balanced_representatives(g):
+    """All balanced sub-weighted forests, in (forest, sigma) lexicographic
+    order.  Raises PreconditionError on a graph that is not pleasant."""
+    roots, starts = resolve_roots(g)
+    return [_with_sigma(g, forest, combo, roots, starts)
+            for forest, combos in all_subweighting_combos(g, balanced_only=True)
+            for combo in combos]
+
+
+def enumerate_subweightings(g, T, balanced_only=False, roots=None, starts=None):
+    """All edge sub-weightings of the forest T, in sigma-lexicographic
+    order, with roots and starts as in `resolve_roots`.  Raises
+    GraphInputError when T is not a maximal spanning forest of g.
 
     With balanced_only, only those whose tree divisor is balanced, solved
     for as congruences at the vertices of weight > 1 (`_balanced_combos`)
     rather than filtered.
     """
     base = SubweightedTree.build(g, T, roots=roots, starts=starts)
-    return base, _sigma_combos(g, base.forest_edges, base.starts, balanced_only)
-
-
-def all_subweighting_combos(g, balanced_only=False):
-    """`subweighting_combos` of every forest of `enumerate_forests(g)`, in
-    its order, with g's default roots and starts: the representatives that
-    `trees`, `trees --balanced` and `fiber` write.  The roots resolve once,
-    and the forests, which it enumerates itself, are not checked again.
-    With balanced_only, raises PreconditionError at once on a graph that
-    is not pleasant."""
-    if balanced_only:
-        require_pleasant(g, "balanced enumeration")
-    roots, starts = resolve_roots(g)
-    return ((SubweightedTree(forest, dict(g.edge_weight), roots, starts),
-             _sigma_combos(g, forest, starts, balanced_only))
-            for forest in enumerate_forests(g))
-
-
-def enumerate_subweightings(g, T, balanced_only=False, roots=None, starts=None):
-    """All edge sub-weightings of the forest T, in sigma-lexicographic order
-    (balanced ones only with balanced_only; see `subweighting_combos`)."""
-    base, combos = subweighting_combos(g, T, balanced_only, roots, starts)
     return [_with_sigma(g, base.forest_edges, combo, base.roots, base.starts)
-            for combo in combos]
+            for combo in _sigma_combos(g, base.forest_edges, base.starts,
+                                       balanced_only)]
 
 
 def _keyed_subweightings(g, system, starts):
     """(class key, forest, sigma on the forest) of every sub-weighted
     maximal forest, in (forest, sigma)-lexicographic order, toured from
     resolved starts.  `system` is g's LaplacianSystem; its key part
-    X D_r mod e is linear in D, so it is a residue of D against the keys of
-    the unit divisors."""
+    X D_r mod e is linear in D, and a unit of sigma on a forest edge adds
+    e_head - e_tail to D, so each sub-weighting costs one residue tuple."""
+    e = system.e
     unit = [system.vector_key([int(i == j) for j in range(g.n)])[1]
             for i in range(g.n)]
-    moduli = [system.e] * len(system.keep)
+    index = g.vertex_index
     for forest in enumerate_forests(g):
-        vec, residues = _affine_residues(g, forest, starts, unit, moduli)
-        degrees = system.vector_key(vec)[0]
+        orient = _orient(g, forest, starts)
+        degrees, residue = system.vector_key(_unit_vector(g, forest, orient))
+        residues = [residue]
+        for eid in forest:
+            tail, head = orient[eid]
+            diff = list(map(sub, unit[index[head]], unit[index[tail]]))
+            out = []
+            for r in residues:
+                out.append(r)
+                for _ in range(g.edge_weight[eid] - 1):
+                    r = tuple([(c + d) % e for c, d in zip(r, diff)])
+                    out.append(r)
+            residues = out
         combos = itertools.product(*(range(1, g.edge_weight[eid] + 1)
                                      for eid in forest))
         for y, combo in zip(residues, combos):

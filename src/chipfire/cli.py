@@ -54,7 +54,7 @@ def _load_divisor(g, path, potential=False):
     obj = _load_json(path)
     key = ("potential" if potential and isinstance(obj, dict) and "potential" in obj
            else "coefficients")
-    D = serialize.divisor_from_obj(obj, key=key)
+    D = serialize.divisor_from_obj(g, obj, key=key)
     check_on_graph(g, D, "potential" if potential else "divisor")
     return D
 
@@ -114,8 +114,8 @@ def _emit_representatives(g, balanced_only, before=(), after=()):
     """Stream every (balanced) sub-weighted forest of g, one forest at a
     time; an internal check that fails midway leaves the output cut short."""
     serialize.write_representatives(
-        _emit, g, bernardi.all_subweighting_combos(g, balanced_only),
-        before, after)
+        _emit, g, *bernardi.resolve_roots(g),
+        bernardi.all_subweighting_combos(g, balanced_only), before, after)
 
 
 def _cmd_trees(args):
@@ -140,8 +140,10 @@ def _cmd_reduce(args):
         raise GraphInputError("--start needs --root: it names an edge at the root")
     g = _load_graph(args.graph)
     D = _load_divisor(g, args.divisor)
-    roots = None if args.root is None else (args.root,)
-    starts = None if args.start is None else {args.root: args.start}
+    root = serialize.graph_id(g.vertex_by_key, args.root)
+    roots = None if root is None else (root,)
+    starts = (None if args.start is None
+              else {root: serialize.graph_id(g.edge_by_key, args.start)})
     ts, cert = bernardi.reduce(g, D, roots, starts)
     _emit(serialize.dumps({"tree": serialize.tree_to_obj(g, ts),
                            "certificate": serialize.certificate_to_obj(cert)}))
@@ -178,12 +180,15 @@ def _parse_parts(text):
 
 def _cmd_rewrite(args):
     g = _load_graph(args.graph)
+    # split-edge names an edge, the other rewrites a vertex
+    v = serialize.graph_id(g.vertex_by_key, getattr(args, "vertex", None))
     if args.rewrite == "add-leaf":
-        out = add_leaf(g, args.vertex, args.leaf_weight, args.edge_weight)
+        out = add_leaf(g, v, args.leaf_weight, args.edge_weight)
     elif args.rewrite == "split-edge":
-        out = split_edge(g, args.edge, _parse_parts(args.parts))
+        out = split_edge(g, serialize.graph_id(g.edge_by_key, args.edge),
+                         _parse_parts(args.parts))
     elif args.rewrite == "shrink":
-        out = shrink_vertex_weight(g, args.vertex, args.weight)
+        out = shrink_vertex_weight(g, v, args.weight)
     else:  # split-vertex
         plan = _load_json(args.plan)
         parts = plan.get("parts") if isinstance(plan, dict) else None
@@ -196,9 +201,10 @@ def _cmd_rewrite(args):
             raise GraphInputError(
                 'malformed split plan: "parts" must map edge ids to lists of '
                 "[copy, weight], with a pair of copies for a loop")
-        parts = {eid: [(tuple(c) if isinstance(c, list) else c, w) for c, w in ps]
+        parts = {serialize.graph_id(g.edge_by_key, eid):
+                 [(tuple(c) if isinstance(c, list) else c, w) for c, w in ps]
                  for eid, ps in parts.items()}
-        out, _vmap = split_vertex(g, args.vertex, args.copies, SplitPlan(parts))
+        out, _vmap = split_vertex(g, v, args.copies, SplitPlan(parts))
     _emit_graph(out, args.format)
     return 0
 

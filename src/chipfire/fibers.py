@@ -6,7 +6,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .bernardi import _with_sigma, all_subweighting_combos
+from .bernardi import balanced_representatives
 from .divisors import Divisor, LaplacianSystem, degree, is_balanced
 from .errors import GraphInputError, InternalError, PreconditionError
 from .graphs import (VertexSplitMap, WeightedMultigraph, _distinct_json_keys,
@@ -83,14 +83,6 @@ def dual_graph(f: SpecialFiberDescription) -> WeightedMultigraph:
     if not validate(g).pleasant:
         raise InternalError("dual graph of a checked fiber is not pleasant")
     return g
-
-
-def balanced_representatives(g):
-    """All balanced sub-weighted forests, in (forest, sigma) lexicographic
-    order.  Raises PreconditionError on a graph that is not pleasant."""
-    return [_with_sigma(g, base.forest_edges, combo, base.roots, base.starts)
-            for base, combos in all_subweighting_combos(g, balanced_only=True)
-            for combo in combos]
 
 
 def component_group(f: SpecialFiberDescription):

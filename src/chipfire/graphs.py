@@ -29,13 +29,18 @@ def _positive_weight(what, x, w):
         raise GraphInputError(f"{what} weight at {x!r} must be a positive integer")
 
 
+def _json_key(x):
+    """The id x as JSON writes it as an object key: a number, true, false or
+    null becomes the string of its JSON text."""
+    return json.dumps(x) if x is None or isinstance(x, (int, float)) else x
+
+
 def _distinct_json_keys(what, ids):
     """Raises GraphInputError if two ids are written as the same JSON object
-    key: a number, true, false or null key becomes the string of its JSON
-    text, so 1 and "1" collide."""
+    key (`_json_key`), such as 1 and "1"."""
     seen = {}
     for x in ids:
-        key = json.dumps(x) if x is None or isinstance(x, (int, float)) else x
+        key = _json_key(x)
         if key in seen:
             raise GraphInputError(f"{what} ids {seen[key]!r} and {x!r} are the "
                                   "same key in JSON output")
@@ -172,6 +177,16 @@ class WeightedMultigraph:
     @cached_property
     def edge_by_id(self):
         return {e.id: e for e in self.edges}
+
+    @cached_property
+    def vertex_by_key(self):
+        """JSON key text (`_json_key`) -> vertex id."""
+        return {_json_key(v): v for v in self.vertices}
+
+    @cached_property
+    def edge_by_key(self):
+        """JSON key text (`_json_key`) -> edge id."""
+        return {_json_key(e.id): e.id for e in self.edges}
 
     @cached_property
     def edge_ends(self):

@@ -81,14 +81,22 @@ def divisor_to_obj(D: Divisor, key="coefficients"):
     return {key: dict(D.coefficients)}
 
 
-def divisor_from_obj(obj, key="coefficients") -> Divisor:
+def graph_id(by_key, text):
+    """The graph id that text names, by_key being the graph's
+    `vertex_by_key` or `edge_by_key`: the id whose JSON key text it is, so
+    "7" names the number 7 and a string id names itself.  Any other value
+    comes back as it is, for the caller's check to reject."""
+    return by_key.get(text, text) if isinstance(text, str) else text
+
+
+def divisor_from_obj(g, obj, key="coefficients") -> Divisor:
     try:
         coeffs = obj[key]
     except (KeyError, TypeError) as exc:
         raise GraphInputError(f"malformed divisor object: missing {key!r}") from exc
     if not isinstance(coeffs, dict) or not all(map(is_int, coeffs.values())):
         raise GraphInputError("divisor coefficients must be integers")
-    return Divisor(dict(coeffs))
+    return Divisor({graph_id(g.vertex_by_key, v): c for v, c in coeffs.items()})
 
 
 def certificate_to_obj(cert: EquivalenceCertificate):
@@ -114,19 +122,34 @@ def _roots_to_obj(g, roots, starts):
 
 def tree_from_obj(g, obj) -> SubweightedTree:
     """The validated tree of a tree object.  "root" and "start" set one
-    component's root; "roots" and "starts" set several."""
+    component's root, "roots" and "starts" several; a start needs its root,
+    and the two shapes do not mix.  Ids given as text resolve by
+    `graph_id`."""
     shapes = {"tree": list, "sigma": dict, "roots": list, "starts": dict}
     if (not isinstance(obj, dict) or "tree" not in obj or "sigma" not in obj
             or any(not isinstance(obj[k], t) for k, t in shapes.items() if k in obj)
             or isinstance(obj.get("root"), (list, dict))):
         raise GraphInputError("malformed tree object: it needs a 'tree' list, a "
                               "'sigma' object, and vertex ids as roots")
-    if "roots" in obj:
-        roots, starts = obj["roots"], obj.get("starts")
-    else:
-        roots = [obj["root"]] if "root" in obj else None
-        starts = {obj.get("root"): obj["start"]} if "start" in obj else None
-    return SubweightedTree.build(g, obj["tree"], obj["sigma"], roots, starts)
+    one = [k for k in ("root", "start") if k in obj]
+    several = [k for k in ("roots", "starts") if k in obj]
+    if one and several:
+        raise GraphInputError(
+            f"tree object gives {one[0]!r} and {several[0]!r}: give 'root' and "
+            "'start' for one root, or 'roots' and 'starts' for several")
+    for start, root in (("start", "root"), ("starts", "roots")):
+        if start in obj and root not in obj:
+            raise GraphInputError(f"{start!r} needs {root!r}: a start names an "
+                                  "edge at its root")
+    vertex, edge = g.vertex_by_key, g.edge_by_key
+    roots = obj.get("roots", [obj["root"]] if one else None)
+    starts = obj.get("starts", {obj["root"]: obj["start"]} if "start" in obj
+                     else {})
+    return SubweightedTree.build(
+        g, [graph_id(edge, x) for x in obj["tree"]],
+        {graph_id(edge, x): s for x, s in obj["sigma"].items()},
+        None if roots is None else [graph_id(vertex, q) for q in roots],
+        {graph_id(vertex, q): graph_id(edge, h) for q, h in starts.items()})
 
 
 def group_to_obj(s: AbelianGroupStructure):
@@ -150,31 +173,29 @@ def _member(key, value, depth):
     return f"{pad}{_key_text(key)}: " + json.dumps(value, indent=2).replace("\n", pad)
 
 
-def write_representatives(write, g, subweightings, before=(), after=()):
+def write_representatives(write, g, roots, starts, subweightings, before=(),
+                          after=()):
     """Write, through write, the text of
     dumps({**before, "representatives": [tree_to_obj(g, ts), ...], **after})
     one forest at a time, without building a tree or its object.
 
-    subweightings yields (base, combos) per forest, as
-    `bernardi.subweighting_combos` returns them: base gives the forest,
-    roots and starts, and combos the sigma values on the forest edges.  The
+    subweightings yields (forest, combos), as
+    `bernardi.all_subweighting_combos` does: a forest and the sigma values
+    on its edges of each of its trees.  roots and starts are resolved, as
+    `bernardi.resolve_roots` gives them, and every tree takes them.  The
     representatives of one forest fill one %-template: the JSON text of
-    every edge id is fixed per graph, the tree and sigma off the forest per
-    forest, and the roots and starts per (roots, starts).
+    every edge id and of the roots and starts is fixed per graph, the tree
+    and sigma off the forest per forest.
     """
     keys = [f"\n        {_key_text(e.id)}: ".replace("%", "%%") for e in g.edges]
     ids = {e.id: "\n        " + json.dumps(e.id).replace("%", "%%")
            for e in g.edges}
+    tail = "".join("," + _member(k, v, 6) for k, v in
+                   _roots_to_obj(g, roots, starts).items()).replace("%", "%%")
     write("{" + "".join(_member(k, v, 2) + "," for k, v in dict(before).items())
           + '\n  "representatives": [')
-    roots = tail = None
     sep = ""
-    for base, combos in subweightings:
-        if (base.roots, base.starts) != roots:
-            roots = base.roots, base.starts
-            tail = "".join("," + _member(k, v, 6) for k, v in
-                           _roots_to_obj(g, *roots).items()).replace("%", "%%")
-        forest = base.forest_edges
+    for forest, combos in subweightings:
         in_forest = set(forest)
         sigma = ",".join(key + ("%d" if e.id in in_forest else str(g.edge_weight[e.id]))
                          for key, e in zip(keys, g.edges))

@@ -220,6 +220,92 @@ def test_act_needs_degree_zero_on_each_component(tmp_path, capsys):
     assert code == 0 and json.loads(out)["roots"] == ["a", "c"]
 
 
+# the unweighted triangle: e = a-b, f = a-c, h = b-c
+TRIANGLE = {"vertices": [{"id": v} for v in "abc"],
+            "edges": [{"id": "e", "ends": ["a", "b"]},
+                      {"id": "f", "ends": ["a", "c"]},
+                      {"id": "h", "ends": ["b", "c"]}]}
+
+
+@pytest.mark.parametrize("keys, named", [
+    ({"starts": {"a": "f"}}, ["'starts'", "'roots'"]),
+    ({"root": "b", "roots": ["a"]}, ["'root'", "'roots'"]),
+    ({"start": "e", "roots": ["a"]}, ["'start'", "'roots'"]),
+    ({"start": "f"}, ["'start'", "'root'"]),
+], ids=["starts-without-roots", "root-with-roots", "start-with-roots",
+        "start-without-root"])
+def test_tree_root_keys_that_do_not_pair_exit_1(tmp_path, capsys, keys, named):
+    # each was read as another root or start, or as a start for None
+    tree = {"tree": ["e", "f"], "sigma": {"e": 1, "f": 1, "h": 1}, **keys}
+    code, out, err = _run(
+        capsys, "act", "--graph", _write(tmp_path, "g.json", TRIANGLE),
+        "--divisor", _write(tmp_path, "d.json",
+                            {"coefficients": {"a": 1, "b": -1}}),
+        "--tree", _write(tmp_path, "t.json", tree))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and all(k in err for k in named)
+
+
+# vertex ids "a" and 2, edge ids 7 and "f"; JSON writes 2 and 7 as the
+# object keys "2" and "7", and the command line gives them as text
+NUMERIC = {"vertices": [{"id": "a"}, {"id": 2, "weight": 2}],
+           "edges": [{"id": 7, "ends": ["a", 2], "weight": 4},
+                     {"id": "f", "ends": ["a", 2], "weight": 2}]}
+
+
+@pytest.mark.parametrize("extra, root", [([], "a"),
+                                         (["--root", "2", "--start", "7"], 2)])
+def test_numeric_ids_round_trip_from_reduce_to_act(tmp_path, capsys, extra,
+                                                   root):
+    g = _write(tmp_path, "g.json", NUMERIC)
+    d = _write(tmp_path, "d.json", {"coefficients": {"a": 1, "2": 2}})
+    code, out, err = _run(capsys, "reduce", "--graph", g, "--divisor", d,
+                          *extra)
+    assert code == 0, err
+    tree = json.loads(out)["tree"]
+    assert (tree["root"], tree["start"]) == (root, 7)
+    assert set(tree["sigma"]) == {"7", "f"}
+    t = _write(tmp_path, "t.json", tree)
+    zero = _write(tmp_path, "z.json", {"coefficients": {"a": 0, "2": 0}})
+    code, out, err = _run(capsys, "act", "--graph", g, "--divisor", zero,
+                          "--tree", t)
+    assert code == 0 and json.loads(out) == tree, err
+    moved = _write(tmp_path, "m.json", {"coefficients": {"a": 1, "2": -1}})
+    code, out, err = _run(capsys, "act", "--graph", g, "--divisor", moved,
+                          "--tree", t)
+    assert code == 0 and json.loads(out) != tree, err
+
+
+def test_a_potential_names_a_numeric_vertex(tmp_path, capsys):
+    code, out, err = _run(
+        capsys, "laplacian", "--graph", _write(tmp_path, "g.json", NUMERIC),
+        "--divisor", _write(tmp_path, "f.json", {"potential": {"a": 1, "2": 0}}))
+    assert code == 0, err
+    assert json.loads(out) == {"coefficients": {"a": 6, "2": -6}}
+
+
+@pytest.mark.parametrize("argv, plan, vertices, edges", [
+    (["add-leaf", "--vertex", "2", "--edge-weight", "2"], None,
+     ["a", 2, "2_leaf"], [7, "f", "2_stem"]),
+    (["shrink", "--vertex", "2", "--weight", "1"], None, ["a", 2], [7, "f"]),
+    (["split-edge", "--edge", "7", "--parts", "2,2"], None,
+     ["a", 2], ["7.1", "7.2", "f"]),
+    (["split-vertex", "--vertex", "2", "--copies", "2"],
+     {"parts": {"7": [[0, 2], [1, 2]], "f": [[0, 1], [1, 1]]}},
+     ["a", "2_1", "2_2"], ["7.1", "7.2", "f.1", "f.2"]),
+], ids=["add-leaf", "shrink", "split-edge", "split-vertex"])
+def test_rewrites_name_numeric_ids(tmp_path, capsys, argv, plan, vertices,
+                                   edges):
+    if plan is not None:
+        argv = [*argv, "--plan", _write(tmp_path, "p.json", plan)]
+    code, out, err = _run(capsys, "rewrite", "--graph",
+                          _write(tmp_path, "g.json", NUMERIC), *argv)
+    assert code == 0, err
+    obj = json.loads(out)
+    assert [v["id"] for v in obj["vertices"]] == vertices
+    assert [e["id"] for e in obj["edges"]] == edges
+
+
 TREE = {"tree": ["a", "b"], "sigma": {"a": 2, "b": 2, "c": 1}, "root": "v2",
         "start": "a"}
 ZERO = {"coefficients": {"v1": 0, "v2": 0, "v3": 0}}

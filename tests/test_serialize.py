@@ -7,28 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipfire import (PreconditionError, WeightedMultigraph, enumerate_forests,
-                      is_pleasant)
+from chipfire import (Divisor, PreconditionError, WeightedMultigraph,
+                      enumerate_forests, is_pleasant)
 from chipfire.bernardi import (all_subweighting_combos, enumerate_subweightings,
-                               subweighting_combos)
-from chipfire.serialize import dumps, tree_to_obj, write_representatives
+                               resolve_roots)
+from chipfire.graphs import _json_key
+from chipfire.serialize import (divisor_from_obj, divisor_to_obj, dumps,
+                                tree_from_obj, tree_to_obj,
+                                write_representatives)
 
 # ids a graph file may hold: strings that need escaping or a %, an int and
 # its string twin, a float, null and true
 IDS = ["a", 'q"', "b\\", "é", "☃", "%d", "7", 7, 2.5, None, -3, True]
 
 
-def _json_key(x):
-    # a graph may not hold two vertex ids, or two edge ids, that JSON writes
-    # as the same object key, such as 7 and "7"
-    return x if isinstance(x, str) else json.dumps(x)
-
-
 def _written(g, balanced, roots=None, starts=None, before=(), after=()):
+    # the sigma on each forest of its validated per-forest sub-weightings
+    combos = ((forest, [tuple(ts.sigma[e] for e in forest) for ts in
+                        enumerate_subweightings(g, forest, balanced, roots,
+                                                starts)])
+              for forest in enumerate_forests(g))
     out = io.StringIO()
-    write_representatives(
-        out.write, g, (subweighting_combos(g, forest, balanced, roots, starts)
-                       for forest in enumerate_forests(g)), before, after)
+    write_representatives(out.write, g, *resolve_roots(g, roots, starts),
+                          combos, before, after)
     return out.getvalue()
 
 
@@ -52,15 +53,17 @@ def graphs(draw):
         {eid: draw(st.integers(1, 3)) for eid in edge_ids})
 
 
+def _last_roots(g):
+    # every component's last vertex as its root, at the last half-edge of
+    # its ribbon
+    roots = tuple(comp[-1] for comp in g.components())
+    return roots, {q: g.ribbon[q][-1] for q in roots if g.ribbon[q]}
+
+
 @given(graphs(), st.booleans(), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_writer_matches_dumps(g, balanced, last_roots):
-    # with last_roots, every component's last vertex is its root, at the
-    # last half-edge of its ribbon
-    roots = starts = None
-    if last_roots:
-        roots = tuple(comp[-1] for comp in g.components())
-        starts = {q: g.ribbon[q][-1] for q in roots if g.ribbon[q]}
+    roots, starts = _last_roots(g) if last_roots else (None, None)
     assert _written(g, balanced, roots, starts) == _dumped(g, balanced, roots, starts)
     if last_roots:
         return
@@ -70,8 +73,21 @@ def test_writer_matches_dumps(g, balanced, last_roots):
             all_subweighting_combos(g, balanced)
     else:
         out = io.StringIO()
-        write_representatives(out.write, g, all_subweighting_combos(g, balanced))
+        write_representatives(out.write, g, *resolve_roots(g),
+                              all_subweighting_combos(g, balanced))
         assert out.getvalue() == _dumped(g, balanced)
+
+
+@given(graphs(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_tree_and_divisor_objects_read_back(g, last_roots):
+    # JSON writes a number, true or null id as an object key of its text
+    roots, starts = _last_roots(g) if last_roots else (None, None)
+    for forest in enumerate_forests(g):
+        for ts in enumerate_subweightings(g, forest, False, roots, starts):
+            assert tree_from_obj(g, json.loads(dumps(tree_to_obj(g, ts)))) == ts
+    D = Divisor({v: k for k, v in enumerate(g.vertices)})
+    assert divisor_from_obj(g, json.loads(dumps(divisor_to_obj(D)))) == D
 
 
 def test_writer_edge_cases():
