@@ -2,9 +2,10 @@
 """Walk through the weighted-triangle running example end to end:
 genus, group structures, sub-weighted trees, reduction, and the torsor."""
 
-from chipfire import (Divisor, count_pic0, count_picb0, enumerate_subweightings,
-                      enumerate_trees, pic0_structure, picb0_structure,
-                      torsor_act, tree_divisor, weighted_genus)
+from chipfire import (Divisor, count_pic0, count_picb0, enumerate_trees,
+                      pic0_structure, picb0_structure, torsor_act,
+                      tree_divisor, weighted_genus)
+from chipfire.bernardi import enumerate_subweightings
 from chipfire.selfcheck import triangle_tw, tw_roots
 
 

@@ -14,14 +14,11 @@ from .divisors import (Divisor, EquivalenceCertificate, LaplacianSystem,
                        is_balanced, laplacian, unbalancing_class)
 from .trees import enumerate_forests, enumerate_trees, is_maximal_forest
 from .picard import (AbelianGroupStructure, count_pic0, count_picb0,
-                     enumerate_coset_representatives_bruteforce,
                      pic0_structure, picb0_structure)
-from .bernardi import (BernardiReducer, Orientation, SubweightedTree,
-                       enumerate_subweightings, orientation_divisor, reduce,
-                       torsor_act, tour_forest, tree_divisor)
-from .fibers import (InjectivityReport, SpecialFiberDescription,
-                     balanced_representatives, check_base_change_injectivity,
-                     component_group, dual_graph, phi_note, psi_map)
+from .bernardi import (Orientation, SubweightedTree, orientation_divisor,
+                       reduce, torsor_act, tour_forest, tree_divisor)
+from .fibers import (SpecialFiberDescription, balanced_representatives,
+                     component_group, dual_graph, phi_note)
 from .family import pleasant_family
 from .selfcheck import run_selfcheck
 
@@ -35,14 +32,11 @@ __all__ = [
     "UnbalancingClass", "chip_fire", "degree", "equivalent", "is_balanced",
     "laplacian", "unbalancing_class",
     "enumerate_forests", "enumerate_trees", "is_maximal_forest",
-    "AbelianGroupStructure", "count_pic0", "count_picb0",
-    "enumerate_coset_representatives_bruteforce", "pic0_structure",
+    "AbelianGroupStructure", "count_pic0", "count_picb0", "pic0_structure",
     "picb0_structure",
-    "BernardiReducer", "Orientation", "SubweightedTree",
-    "enumerate_subweightings", "orientation_divisor",
-    "reduce", "torsor_act", "tour_forest", "tree_divisor",
-    "InjectivityReport", "SpecialFiberDescription",
-    "balanced_representatives", "check_base_change_injectivity",
-    "component_group", "dual_graph", "phi_note", "psi_map",
+    "Orientation", "SubweightedTree", "orientation_divisor", "reduce",
+    "torsor_act", "tour_forest", "tree_divisor",
+    "SpecialFiberDescription", "balanced_representatives",
+    "component_group", "dual_graph", "phi_note",
     "pleasant_family", "run_selfcheck",
 ]

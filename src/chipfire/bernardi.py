@@ -34,8 +34,8 @@ def resolve_roots(g, roots=None, starts=None):
 
     A given root replaces its component's first vertex.  A root without a
     given start starts at the first half-edge of its ribbon.  A start is a
-    half-edge at its root, or a token for one: its edge id (the first such
-    half-edge in the ribbon), or "id:side" as tree files write loops.
+    half-edge at its root or the id of an edge there, which names the first
+    such half-edge in the ribbon.
     Raises GraphInputError on an unknown vertex, two roots in one component,
     or a start that is not at its root.
     """
@@ -65,13 +65,11 @@ def resolve_roots(g, roots=None, starts=None):
     return tuple(chosen), resolved
 
 
-def _start_at(ring, q, token):
-    if token in ring:
-        return token
+def _start_at(ring, q, start):
     for h in ring:
-        if token in (h[0], f"{h[0]}:{h[1]}"):
+        if start in (h, h[0]):
             return h
-    raise GraphInputError(f"start {token!r} is not a half-edge at root {q!r}")
+    raise GraphInputError(f"start {start!r} is not a half-edge at root {q!r}")
 
 
 @dataclass(frozen=True)

@@ -142,8 +142,8 @@ def _cmd_reduce(args):
     D = _load_divisor(g, args.divisor)
     root = serialize.graph_id(g.vertex_by_key, args.root)
     roots = None if root is None else (root,)
-    starts = (None if args.start is None
-              else {root: serialize.graph_id(g.edge_by_key, args.start)})
+    starts = (None if args.start is None else
+              {root: serialize.halfedge_from_json(g.edge_by_key, args.start)})
     ts, cert = bernardi.reduce(g, D, roots, starts)
     _emit(serialize.dumps({"tree": serialize.tree_to_obj(g, ts),
                            "certificate": serialize.certificate_to_obj(cert)}))

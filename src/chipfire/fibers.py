@@ -1,5 +1,6 @@
 """Special-fiber descriptions, their dual graphs, the component group,
-and base-change maps with brute-force injectivity checks."""
+and base-change maps with injectivity checks over the caller's
+representatives."""
 
 from __future__ import annotations
 
@@ -11,8 +12,7 @@ from .divisors import Divisor, LaplacianSystem, degree, is_balanced
 from .errors import GraphInputError, InternalError, PreconditionError
 from .graphs import (VertexSplitMap, WeightedMultigraph, _distinct_json_keys,
                      is_int, validate)
-from .picard import (enumerate_coset_representatives_bruteforce,
-                     picb0_structure)
+from .picard import picb0_structure
 # unused here; perfbench's tests check that its tracer rebinds this alias
 from .trees import enumerate_forests  # noqa: F401
 
@@ -131,17 +131,14 @@ class InjectivityReport:
     witness: tuple | None  # (D1, D2) with distinct old classes mapping together
 
 
-def check_base_change_injectivity(old_g, new_g, correspondence=None,
-                                  reps=None) -> InjectivityReport:
-    """Brute-force check that the induced map on balanced Jacobians is injective.
+def check_base_change_injectivity(old_g, new_g, correspondence,
+                                  reps) -> InjectivityReport:
+    """Check that the induced map on balanced Jacobians is injective on
+    reps, one balanced degree-0 divisor per class of old_g.
 
     `correspondence` is a VertexSplitMap for vertex splits, or None when the
-    vertex sets agree (edge split, weight shrink).  `reps` is one balanced
-    degree-0 divisor per class of old_g, if the caller has enumerated them.
+    vertex sets agree (edge split, weight shrink).
     """
-    if reps is None:
-        reps = enumerate_coset_representatives_bruteforce(
-            old_g, 0, balanced_only=True)
     if correspondence is None:
         images = list(reps)
     else:

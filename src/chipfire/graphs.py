@@ -386,8 +386,7 @@ def _fresh_ids(taken, stems):
 
 def add_leaf(g, v, leaf_weight=1, edge_weight=1):
     """Attach a new degree-1 vertex at v; weights must keep the graph pleasant."""
-    if v not in g.vertices:
-        raise GraphInputError(f"unknown vertex {v!r}")
+    g.vindex(v)  # rejects an unknown vertex
     leaf = _fresh_id(set(g.vertices), f"{v}_leaf")
     eid = _fresh_id({e.id for e in g.edges}, f"{v}_stem")
     _positive_weight("vertex", leaf, leaf_weight)
@@ -430,8 +429,7 @@ def split_edge(g, eid, parts):
 
 def shrink_vertex_weight(g, v, new_weight):
     """Lower the weight at v to a divisor of the old weight."""
-    if v not in g.vertices:
-        raise GraphInputError(f"unknown vertex {v!r}")
+    g.vindex(v)  # rejects an unknown vertex
     if not is_int(new_weight) or new_weight < 1 \
             or g.vertex_weight[v] % new_weight:
         raise PreconditionError("new weight must be a positive divisor of the old one")
@@ -463,8 +461,7 @@ class VertexSplitMap:
 
 def split_vertex(g, v, r, plan: SplitPlan):
     """Split v into r copies of weight w(v)/r, redistributing edges per `plan`."""
-    if v not in g.vertices:
-        raise GraphInputError(f"unknown vertex {v!r}")
+    g.vindex(v)  # rejects an unknown vertex
     if not is_int(r) or r < 1 or g.vertex_weight[v] % r:
         raise PreconditionError("number of copies must divide the vertex weight")
     copies = {u: (u,) for u in g.vertices}

@@ -88,20 +88,10 @@ def count_picb0(g) -> int:
     return int(val)
 
 
-def balanced_divisor_of_degree(g, d):
-    """Some balanced divisor of degree d, or None if the gcd obstruction bites."""
-    weights = [g.vertex_weight[v] for v in g.vertices]
-    q, r = divmod(d, math.gcd(*weights))
-    if r:
-        return None
-    a = intlinalg.gcd_basis(weights)[0]
-    return Divisor.from_vector(g, [q * ai * w for ai, w in zip(a, weights)])
-
-
-def enumerate_coset_representatives_bruteforce(g, d, balanced_only=False,
+def enumerate_coset_representatives_bruteforce(g, balanced_only=False,
                                                system=None):
-    """One divisor per chip-firing class in degree d (balanced classes only
-    if requested), by closing a base divisor under translation generators.
+    """One degree-0 divisor per chip-firing class (balanced classes only if
+    requested), by closing the zero divisor under translation generators.
 
     Deterministic breadth-first order.  Connected graphs only.  `system` is
     g's LaplacianSystem if the caller has one.  The generators have degree
@@ -113,12 +103,8 @@ def enumerate_coset_representatives_bruteforce(g, d, balanced_only=False,
         raise PreconditionError("brute-force enumeration requires a connected graph")
     if balanced_only:
         require_pleasant(g, "balanced enumeration")
-        base = balanced_divisor_of_degree(g, d)
-        if base is None:
-            return []
         gens = _balanced_deg0_generators(g)
     else:
-        base = Divisor.from_vector(g, [d] + [0] * (g.n - 1))
         gens = []
         for i in range(1, g.n):
             col = [0] * g.n
@@ -130,7 +116,7 @@ def enumerate_coset_representatives_bruteforce(g, d, balanced_only=False,
     e = system.e
     steps = [(step, system.vector_key(step)[1])
              for gen in gens for step in (gen, [-x for x in gen])]
-    start = tuple(base.vector(g))
+    start = (0,) * g.n
     key = system.vector_key(start)[1]
     seen = {key: start}
     queue = deque([(start, key)])

@@ -169,10 +169,8 @@ def _exponent(structure):
     return max(structure.invariant_factors, default=1)
 
 
-def sweep_family(family=None) -> dict:
+def sweep_family(family) -> dict:
     """Run the exhaustive cross-validation; returns named CheckResults."""
-    if family is None:
-        family = list(pleasant_family())
     stats = SweepStats()
     fail = stats.failures
 
@@ -208,9 +206,9 @@ def sweep_family(family=None) -> dict:
         # invariant factors must match this system's exponents too
         bfs_system = LaplacianSystem(g)
         reps = picard.enumerate_coset_representatives_bruteforce(
-            g, 0, system=bfs_system)
+            g, system=bfs_system)
         repsb = picard.enumerate_coset_representatives_bruteforce(
-            g, 0, balanced_only=True, system=bfs_system)
+            g, balanced_only=True, system=bfs_system)
         if len(reps) != count or len(repsb) != countb:
             bad("matrix-tree", g,
                 f"brute-force counts {len(reps)}/{len(repsb)} vs {count}/{countb}")
@@ -378,15 +376,13 @@ def sweep_family(family=None) -> dict:
     return results
 
 
-def check_torsor(graphs=None) -> CheckResult:
+def check_torsor(graphs) -> CheckResult:
     """Free transitive action of the balanced Jacobian on balanced trees."""
-    if graphs is None:
-        graphs = [triangle_tw()]
     problems = []
     for g in graphs:
         B = balanced_representatives(g)
         group = picard.enumerate_coset_representatives_bruteforce(
-            g, 0, balanced_only=True)
+            g, balanced_only=True)
         zero = Divisor.zero(g)
         ts0 = B[0]
         if bernardi.torsor_act(g, zero, ts0) != ts0:

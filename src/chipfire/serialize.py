@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .errors import GraphInputError
-from .graphs import WeightedMultigraph, is_int
+from .graphs import WeightedMultigraph, _json_key, is_int
 from .divisors import Divisor, EquivalenceCertificate
 from .bernardi import SubweightedTree
 from .picard import AbelianGroupStructure
@@ -17,27 +17,39 @@ from .picard import AbelianGroupStructure
 
 def _halfedge_to_json(g, h):
     eid, side = h
-    return f"{eid}:{side}" if g.edge(eid).is_loop else eid
+    return f"{_json_key(eid)}:{side}" if g.edge(eid).is_loop else eid
 
 
-def _halfedge_from_json(token, at_vertex, edges_by_id):
+def halfedge_from_json(edge_by_key, token):
+    """The half-edge (edge id, side) or the edge id that a token names,
+    edge_by_key being the graph's `edge_by_key`: "<key>:<side>", as loops
+    are written, names side 0 or 1 of the edge whose JSON key text
+    (`graphs._json_key`) is key; any other token names an edge as
+    `graph_id` resolves it."""
     if isinstance(token, str) and ":" in token:
-        eid, side = token.rsplit(":", 1)
-        if eid in edges_by_id and side in ("0", "1"):
-            return (eid, int(side))
-    eid = token
+        key, side = token.rsplit(":", 1)
+        if key in edge_by_key and side in ("0", "1"):
+            return edge_by_key[key], int(side)
+    return graph_id(edge_by_key, token)
+
+
+def _ribbon_halfedge(token, at_vertex, edge_by_key, ends_by_id):
+    h = halfedge_from_json(edge_by_key, token)
+    if isinstance(h, tuple):
+        return h
     try:
-        ends = edges_by_id[eid]
+        ends = ends_by_id[h]
     except (KeyError, TypeError):  # TypeError: an unhashable token
         raise GraphInputError(f"ribbon mentions unknown edge {token!r}") from None
     if ends[0] == ends[1]:
+        key = _json_key(h)
         raise GraphInputError(
-            f"loop {eid!r} must appear in the ribbon as '{eid}:0' and '{eid}:1'")
+            f"loop {h!r} must appear in the ribbon as '{key}:0' and '{key}:1'")
     if at_vertex == ends[0]:
-        return (eid, 0)
+        return (h, 0)
     if at_vertex == ends[1]:
-        return (eid, 1)
-    raise GraphInputError(f"ribbon lists {eid!r} at a non-endpoint vertex")
+        return (h, 1)
+    raise GraphInputError(f"ribbon lists {h!r} at a non-endpoint vertex")
 
 
 def graph_to_obj(g: WeightedMultigraph):
@@ -68,17 +80,19 @@ def graph_from_obj(obj) -> WeightedMultigraph:
             and all(isinstance(tokens, list) for tokens in ribbon.values())):
         raise GraphInputError("ribbon must map vertex ids to lists of half-edges")
     if ribbon:
-        edges_by_id = dict(edges)
-        ribbon = {
-            v: tuple(_halfedge_from_json(tok, v, edges_by_id)
-                     for tok in tokens)
-            for v, tokens in ribbon.items()
-        }
+        # the graph's `vertex_by_key` and `edge_by_key`, before it is built
+        vertex = {_json_key(v): v for v in vertices}
+        edge = {_json_key(eid): eid for eid, _ in edges}
+        ends_by_id = dict(edges)
+        ribbon = {graph_id(vertex, v): tokens for v, tokens in ribbon.items()}
+        ribbon = {v: tuple(_ribbon_halfedge(tok, v, edge, ends_by_id)
+                           for tok in tokens)
+                  for v, tokens in ribbon.items()}
     return WeightedMultigraph.build(vertices, edges, vw, ew, ribbon)
 
 
-def divisor_to_obj(D: Divisor, key="coefficients"):
-    return {key: dict(D.coefficients)}
+def divisor_to_obj(D: Divisor):
+    return {"coefficients": dict(D.coefficients)}
 
 
 def graph_id(by_key, text):
@@ -149,7 +163,8 @@ def tree_from_obj(g, obj) -> SubweightedTree:
         g, [graph_id(edge, x) for x in obj["tree"]],
         {graph_id(edge, x): s for x, s in obj["sigma"].items()},
         None if roots is None else [graph_id(vertex, q) for q in roots],
-        {graph_id(vertex, q): graph_id(edge, h) for q, h in starts.items()})
+        {graph_id(vertex, q): halfedge_from_json(edge, h)
+         for q, h in starts.items()})
 
 
 def group_to_obj(s: AbelianGroupStructure):
@@ -160,17 +175,12 @@ def dumps(obj):
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
 
-def _key_text(key):
-    """A dict key as `dumps` writes it: a number, true, false or null key
-    becomes the string of its JSON text."""
-    return json.dumps(key if isinstance(key, str) else json.dumps(key))
-
-
 def _member(key, value, depth):
     """`key: value` of an object whose members `dumps` indents by depth,
     preceded by its newline and indent."""
     pad = "\n" + " " * depth
-    return f"{pad}{_key_text(key)}: " + json.dumps(value, indent=2).replace("\n", pad)
+    return (f"{pad}{json.dumps(_json_key(key))}: "
+            + json.dumps(value, indent=2).replace("\n", pad))
 
 
 def write_representatives(write, g, roots, starts, subweightings, before=(),
@@ -187,7 +197,8 @@ def write_representatives(write, g, roots, starts, subweightings, before=(),
     every edge id and of the roots and starts is fixed per graph, the tree
     and sigma off the forest per forest.
     """
-    keys = [f"\n        {_key_text(e.id)}: ".replace("%", "%%") for e in g.edges]
+    keys = [f"\n        {json.dumps(_json_key(e.id))}: ".replace("%", "%%")
+            for e in g.edges]
     ids = {e.id: "\n        " + json.dumps(e.id).replace("%", "%%")
            for e in g.edges}
     tail = "".join("," + _member(k, v, 6) for k, v in

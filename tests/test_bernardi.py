@@ -6,14 +6,14 @@ import tracemalloc
 import pytest
 
 from chipfire import bernardi
-from chipfire import (BernardiReducer, Divisor, GraphInputError,
-                      PreconditionError, SubweightedTree, WeightedMultigraph,
-                      count_pic0, degree, enumerate_forests,
-                      enumerate_subweightings, enumerate_trees,
-                      equivalent, expand_hat, is_balanced, is_pleasant,
-                      laplacian, orientation_divisor, torsor_act, tour_forest,
+from chipfire import (Divisor, GraphInputError, PreconditionError,
+                      SubweightedTree, WeightedMultigraph, count_pic0, degree,
+                      enumerate_forests, enumerate_trees, equivalent,
+                      expand_hat, is_balanced, is_pleasant, laplacian,
+                      orientation_divisor, torsor_act, tour_forest,
                       tree_divisor, weighted_genus)
-from chipfire.bernardi import (hat_reference_shift, reduce as bernardi_reduce,
+from chipfire.bernardi import (BernardiReducer, enumerate_subweightings,
+                               hat_reference_shift, reduce as bernardi_reduce,
                                resolve_roots)
 
 TW_ROOTS = (("v2",), {"v2": ("a", 1)})

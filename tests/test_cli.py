@@ -306,6 +306,45 @@ def test_rewrites_name_numeric_ids(tmp_path, capsys, argv, plan, vertices,
     assert [e["id"] for e in obj["edges"]] == edges
 
 
+# loops 8, "l" and true at u; a loop's half-edges are written by the
+# loop's JSON key text, as "8:0" and "true:1"
+LOOPS = {"vertices": [{"id": "u", "weight": 2}, {"id": "v"}],
+         "edges": [{"id": eid, "ends": ends, "weight": 2}
+                   for eid, ends in ((8, ["u", "u"]), ("l", ["u", "u"]),
+                                     (True, ["u", "u"]), ("e", ["u", "v"]))]}
+
+
+@pytest.mark.parametrize("graph, argv", [
+    (NUMERIC, ["add-leaf", "--vertex", "a"]),
+    (LOOPS, ["shrink", "--vertex", "u", "--weight", "1"]),
+], ids=["add-leaf", "shrink"])
+def test_rewritten_numeric_ids_validate(tmp_path, capsys, graph, argv):
+    code, out, err = _run(capsys, "rewrite", "--graph",
+                          _write(tmp_path, "g.json", graph), *argv)
+    assert code == 0, err
+    path = tmp_path / "out.json"
+    path.write_text(out)
+    code, out, err = _run(capsys, "validate", "--graph", str(path))
+    assert code == 0, err
+
+
+def test_a_loop_start_names_the_loop_by_its_key_text(tmp_path, capsys):
+    g = _write(tmp_path, "g.json", LOOPS)
+    d = _write(tmp_path, "d.json", {"coefficients": {"u": 5, "v": 0}})
+    code, out, err = _run(capsys, "reduce", "--graph", g, "--divisor", d,
+                          "--root", "u", "--start", "true:0")
+    assert code == 0, err
+    tree = json.loads(out)["tree"]
+    assert (tree["root"], tree["start"]) == ("u", "true:0")
+    zero = _write(tmp_path, "z.json", {"coefficients": {"u": 0, "v": 0}})
+    code, out, err = _run(capsys, "act", "--graph", g, "--divisor", zero,
+                          "--tree", _write(tmp_path, "t.json", tree))
+    assert code == 0 and json.loads(out) == tree, err
+    code, out, err = _run(capsys, "reduce", "--graph", g, "--divisor", d,
+                          "--root", "u", "--start", "True:0")
+    assert (code, out) == (1, "") and "True:0" in err
+
+
 TREE = {"tree": ["a", "b"], "sigma": {"a": 2, "b": 2, "c": 1}, "root": "v2",
         "start": "a"}
 ZERO = {"coefficients": {"v1": 0, "v2": 0, "v3": 0}}

@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 
 from chipfire import (Divisor, LaplacianSystem, PreconditionError,
-                      WeightedMultigraph, count_pic0, count_picb0, degree,
-                      enumerate_coset_representatives_bruteforce, equivalent,
-                      is_balanced, laplacian, pic0_structure, picb0_structure)
+                      WeightedMultigraph, count_pic0, count_picb0, equivalent,
+                      laplacian, pic0_structure, picb0_structure)
 from chipfire.divisors import reduced_laplacian
-from chipfire.picard import balanced_divisor_of_degree
+from chipfire.picard import enumerate_coset_representatives_bruteforce
 from chipfire import intlinalg
 from chipfire.selfcheck import tree_sum
 
@@ -49,28 +48,16 @@ def test_counts(triangle, tw, four_edge_pleasant):
         assert tree_sum(g) == count_pic0(g)
 
 
-def test_bruteforce_balanced_degree1(tw):
-    reps = enumerate_coset_representatives_bruteforce(tw, 1, balanced_only=True)
-    assert len(reps) == 4
-    assert all(degree(D) == 1 and is_balanced(tw, D) for D in reps)
-    expected = [Divisor({"v1": 0, "v2": -1, "v3": 2}),
-                Divisor({"v1": 0, "v2": 0, "v3": 1}),
-                Divisor({"v1": 2, "v2": -1, "v3": 0}),
-                Divisor({"v1": 0, "v2": 1, "v3": 0})]
-    for want in expected:
-        assert sum(1 for D in reps if equivalent(tw, D, want)) == 1
-
-
 def test_bruteforce_matches_structure(tw, triangle):
     for g in (tw, triangle):
-        reps = enumerate_coset_representatives_bruteforce(g, 0)
+        reps = enumerate_coset_representatives_bruteforce(g)
         assert len(reps) == pic0_structure(g).order
 
 
 def test_single_weighted_vertex():
     g = WeightedMultigraph.build(["v"], [], {"v": 3})
     assert enumerate_coset_representatives_bruteforce(
-        g, 0, balanced_only=True) == [Divisor({"v": 0})]
+        g, balanced_only=True) == [Divisor({"v": 0})]
 
 
 def test_disconnected_direct_sum(tw):
@@ -165,22 +152,18 @@ def test_random_pleasant_graphs():
         assert system.class_key(D0) == system.class_key(D0 + laplacian(g, f))
 
 
-def _bfs_per_vector_keys(g, d, balanced_only):
-    """The coset closure keyed by a full `vector_key` of every neighbour:
-    the oracle of the incremental keys."""
+def _bfs_per_vector_keys(g, balanced_only):
+    """The coset closure of the zero divisor keyed by a full `vector_key`
+    of every neighbour: the oracle of the incremental keys."""
     system = LaplacianSystem(g)
     if balanced_only:
-        base = balanced_divisor_of_degree(g, d)
-        if base is None:
-            return []
         weights = [g.vertex_weight[v] for v in g.vertices]
         gens = [[a * w for a, w in zip(vec, weights)]
                 for vec in intlinalg.gcd_basis(weights)[1:]]
     else:
-        base = Divisor.from_vector(g, [d] + [0] * (g.n - 1))
         gens = [[1 if j == 0 else -1 if j == i else 0 for j in range(g.n)]
                 for i in range(1, g.n)]
-    start = tuple(base.vector(g))
+    start = (0,) * g.n
     seen = {system.vector_key(start): start}
     queue = [start]
     for cur in queue:
@@ -217,8 +200,8 @@ def test_incremental_coset_keys_match_per_vector_keys(tw, four_edge_pleasant):
         for balanced_only, count in ((False, count_pic0(g)),
                                      (True, count_picb0(g))):
             got = enumerate_coset_representatives_bruteforce(
-                g, 0, balanced_only=balanced_only)
-            assert got == _bfs_per_vector_keys(g, 0, balanced_only)
+                g, balanced_only=balanced_only)
+            assert got == _bfs_per_vector_keys(g, balanced_only)
             assert len(got) == count
 
 

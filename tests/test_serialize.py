@@ -13,8 +13,8 @@ from chipfire.bernardi import (all_subweighting_combos, enumerate_subweightings,
                                resolve_roots)
 from chipfire.graphs import _json_key
 from chipfire.serialize import (divisor_from_obj, divisor_to_obj, dumps,
-                                tree_from_obj, tree_to_obj,
-                                write_representatives)
+                                graph_from_obj, graph_to_obj, tree_from_obj,
+                                tree_to_obj, write_representatives)
 
 # ids a graph file may hold: strings that need escaping or a %, an int and
 # its string twin, a float, null and true
@@ -88,6 +88,17 @@ def test_tree_and_divisor_objects_read_back(g, last_roots):
             assert tree_from_obj(g, json.loads(dumps(tree_to_obj(g, ts)))) == ts
     D = Divisor({v: k for k, v in enumerate(g.vertices)})
     assert divisor_from_obj(g, json.loads(dumps(divisor_to_obj(D)))) == D
+
+
+@given(graphs(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_graph_objects_read_back(g, reverse):
+    # ribbon keys and loop half-edges name ids by their JSON key text
+    if reverse:  # a ribbon that is not the default one
+        g = WeightedMultigraph.build(
+            g.vertices, [(e.id, e.ends) for e in g.edges], g.vertex_weight,
+            g.edge_weight, {v: g.ribbon[v][::-1] for v in g.vertices})
+    assert graph_from_obj(json.loads(dumps(graph_to_obj(g)))) == g
 
 
 def test_writer_edge_cases():
