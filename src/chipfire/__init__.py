@@ -15,8 +15,8 @@ from .divisors import (Divisor, EquivalenceCertificate, LaplacianSystem,
 from .trees import enumerate_forests, enumerate_trees, is_maximal_forest
 from .picard import (AbelianGroupStructure, count_pic0, count_picb0,
                      pic0_structure, picb0_structure)
-from .bernardi import (Orientation, SubweightedTree, orientation_divisor,
-                       reduce, torsor_act, tour_forest, tree_divisor)
+from .bernardi import (SubweightedTree, orientation_divisor, reduce,
+                       torsor_act, tour_forest, tree_divisor)
 from .fibers import (SpecialFiberDescription, balanced_representatives,
                      component_group, dual_graph, phi_note)
 from .family import pleasant_family
@@ -34,8 +34,8 @@ __all__ = [
     "enumerate_forests", "enumerate_trees", "is_maximal_forest",
     "AbelianGroupStructure", "count_pic0", "count_picb0", "pic0_structure",
     "picb0_structure",
-    "Orientation", "SubweightedTree", "orientation_divisor", "reduce",
-    "torsor_act", "tour_forest", "tree_divisor",
+    "SubweightedTree", "orientation_divisor", "reduce", "torsor_act",
+    "tour_forest", "tree_divisor",
     "SpecialFiberDescription", "balanced_representatives",
     "component_group", "dual_graph", "phi_note",
     "pleasant_family", "run_selfcheck",

@@ -23,11 +23,6 @@ from .graphs import component_genera, is_int
 from .trees import enumerate_forests, is_maximal_forest
 
 
-@dataclass(frozen=True)
-class Orientation:
-    direction: dict  # edge id -> (tail, head); loops have tail == head
-
-
 def resolve_roots(g, roots=None, starts=None):
     """One root per component, in component order, and the start half-edge
     of every root that has half-edges.
@@ -123,11 +118,12 @@ class SubweightedTree:
 
 def tour_forest(g, forest, roots=None, starts=None):
     """Orient all edges by touring the forest's tree in each component from
-    its root and start (see `resolve_roots`)."""
+    its root and start (see `resolve_roots`): edge id -> (tail, head),
+    with tail == head on a loop."""
     forest = tuple(forest)
     _require_maximal(g, forest)
     _, starts = resolve_roots(g, roots, starts)
-    return Orientation(_orient(g, forest, starts))
+    return _orient(g, forest, starts)
 
 
 def _require_maximal(g, forest):
@@ -162,13 +158,14 @@ def _orient(g, forest, starts):
     return orient
 
 
-def orientation_divisor(g, O: Orientation) -> Divisor:
-    """Coefficient indeg(v) - 1 at every vertex; a loop adds one at its vertex."""
-    missing = {e.id for e in g.edges} - set(O.direction)
+def orientation_divisor(g, orient) -> Divisor:
+    """Coefficient indeg(v) - 1 at every vertex of the orientation
+    {edge id: (tail, head)}; a loop adds one at its vertex."""
+    missing = {e.id for e in g.edges} - set(orient)
     if missing:
         raise PreconditionError(f"orientation is missing edges {sorted(missing)}")
     indeg = {v: 0 for v in g.vertices}
-    for eid, (_tail, head) in O.direction.items():
+    for eid, (_tail, head) in orient.items():
         indeg[head] += 1
     return Divisor({v: indeg[v] - 1 for v in g.vertices})
 
@@ -368,11 +365,11 @@ def tree_divisor(g, ts: SubweightedTree) -> Divisor:
 # -- hat-graph correspondence ---------------------------------------------
 
 
-def hat_pairs(g, hat, hat_trees):
+def hat_pairs(g, hat):
     """(sub-weighted tree of g, tour orientation of the hat tree) for each
-    maximal spanning forest of the hat graph, touring each once from the
-    hat graph's default roots and starts; the trees of g take g's.  Raises
-    PreconditionError on a hat forest that is not maximal."""
+    maximal spanning forest of the hat graph, in `enumerate_forests` order,
+    touring each once from the hat graph's default roots and starts; the
+    trees of g take g's."""
     hat_g = hat.graph
     copies = {}
     for cid, (eid, _i) in hat.copy_of.items():
@@ -380,9 +377,8 @@ def hat_pairs(g, hat, hat_trees):
     roots, starts = resolve_roots(g)
     _, hat_starts = resolve_roots(hat_g)
     out = []
-    for hatT in hat_trees:
+    for hatT in enumerate_forests(hat_g):
         hatT = set(hatT)
-        _require_maximal(hat_g, hatT)
         orient = _orient(hat_g, hatT, hat_starts)
         forest = []
         sigma = {}
@@ -404,7 +400,7 @@ def hat_pairs(g, hat, hat_trees):
                             f"directions {sorted(dirs)}; correspondence "
                             "assumption violated")
         out.append((SubweightedTree(tuple(forest), sigma, roots, starts),
-                    Orientation(orient)))
+                    orient))
     return out
 
 

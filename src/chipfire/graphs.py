@@ -460,17 +460,19 @@ class VertexSplitMap:
 
 
 def split_vertex(g, v, r, plan: SplitPlan):
-    """Split v into r copies of weight w(v)/r, redistributing edges per `plan`."""
+    """Split v into r copies of weight w(v)/r, redistributing edges per `plan`.
+    With r = 1 the copy keeps v's id, and a plan with one part per edge
+    gives a graph equal to g."""
     g.vindex(v)  # rejects an unknown vertex
     if not is_int(r) or r < 1 or g.vertex_weight[v] % r:
         raise PreconditionError("number of copies must divide the vertex weight")
     copies = {u: (u,) for u in g.vertices}
-    if r == 1:
-        return g, VertexSplitMap(copies)
     incident = [e for e in g.edges if v in e.ends]
     if set(plan.parts) != {e.id for e in incident}:
         raise PreconditionError("plan must cover exactly the edges at the split vertex")
-    names = _fresh_ids(set(g.vertices), [f"{v}_{j}" for j in range(1, r + 1)])
+    # a single copy keeps the vertex's id
+    names = [v] if r == 1 else _fresh_ids(
+        set(g.vertices), [f"{v}_{j}" for j in range(1, r + 1)])
 
     def copy(c):
         if not is_int(c) or not 0 <= c < r:

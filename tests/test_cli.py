@@ -522,11 +522,11 @@ LOOP_OK = [[[0, 1], 2]]
 EDGE_OK = [[0, 1], [1, 1]]
 
 
-def _plan(loop, edge, code, id):
-    return pytest.param({"parts": {"l": loop, "e": edge}}, code, id=id)
+def _plan(loop, edge, code, id, copies=2):
+    return pytest.param({"parts": {"l": loop, "e": edge}}, code, copies, id=id)
 
 
-@pytest.mark.parametrize("plan, code", [
+@pytest.mark.parametrize("plan, code, copies", [
     _plan(LOOP_OK, EDGE_OK, 0, "well-formed"),
     _plan([[[-1, 0], 2]], EDGE_OK, 2, "loop-copy-negative"),
     _plan(LOOP_OK, [[True, 1], [1, 1]], 2, "copy-true"),
@@ -536,12 +536,15 @@ def _plan(loop, edge, code, id):
     _plan(LOOP_OK, [[0, "x"], [1, 1]], 2, "weight-string"),
     _plan(LOOP_OK, [[0], [1, 1]], 1, "part-without-weight"),
     _plan([[[0, 1, 1], 2]], EDGE_OK, 1, "loop-copy-triple"),
-    pytest.param({"parts": [["e", 0, 2]]}, 1, id="parts-list"),
+    pytest.param({"parts": [["e", 0, 2]]}, 1, 2, id="parts-list"),
+    _plan([[[0, 0], 2]], [[0, 2]], 0, "one-copy", copies=1),
+    _plan([[[0, 0], 2]], [[2, 2]], 2, "one-copy-index-2", copies=1),
 ])
-def test_split_vertex_plans(tmp_path, capsys, plan, code):
+def test_split_vertex_plans(tmp_path, capsys, plan, code, copies):
     got, out, err = _run(capsys, "rewrite",
                          "--graph", _write(tmp_path, "g.json", SPLIT_G),
-                         "split-vertex", "--vertex", "v", "--copies", "2",
+                         "split-vertex", "--vertex", "v", "--copies",
+                         str(copies),
                          "--plan", _write(tmp_path, "p.json", plan))
     assert got == code and "Traceback" not in err
     if code:

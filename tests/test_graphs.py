@@ -1,16 +1,18 @@
 import dataclasses
+import random
 
 import pytest
 
 from chipfire import (GraphInputError, InternalError, PreconditionError,
                       SplitPlan, WeightedMultigraph, bernardi, serialize,
                       add_leaf, expand_hat, pic0_structure, picb0_structure,
-                      count_picb0, shrink_vertex_weight, split_edge,
+                      count_pic0, count_picb0, shrink_vertex_weight, split_edge,
                       split_vertex, tour_forest, validate, weighted_genus)
 from chipfire.family import pleasant_family
 from chipfire.graphs import forget_tables
 from chipfire.selfcheck import sweep_family
 from chipfire.trees import enumerate_forests, enumerate_trees
+from test_bernardi import _random_pleasant
 
 FIELDS = {f.name for f in dataclasses.fields(WeightedMultigraph)}
 
@@ -53,12 +55,12 @@ def test_components_keep_declaration_order():
 
 
 def test_forget_tables_drops_every_table(tw):
-    orientation = tour_forest(tw, ("a", "b")).direction
+    orientation = tour_forest(tw, ("a", "b"))
     laplacian = tw.laplacian_matrix()
     assert set(vars(tw)) > FIELDS
     forget_tables(tw)
     assert set(vars(tw)) == FIELDS
-    assert tour_forest(tw, ("a", "b")).direction == orientation
+    assert tour_forest(tw, ("a", "b")) == orientation
     assert tw.laplacian_matrix() == laplacian
 
 
@@ -72,6 +74,23 @@ def test_sweep_forgets_the_tables_of_its_graphs(monkeypatch, reducer_fails):
     results = sweep_family(family)
     assert results["completeness"].passed == (not reducer_fails)
     assert all(set(vars(g)) == FIELDS for g in family)
+
+
+def test_sweep_past_the_desk_family():
+    # 12 seeded random connected pleasant graphs, n = 5-7, one loop each:
+    # the exact cover, the hat map and the rewrite checks on trees of more
+    # vertices than the desk family has
+    rng = random.Random(5)
+    graphs = []
+    while len(graphs) < 12:
+        g = _random_pleasant(rng, rng.randint(5, 7))
+        if count_pic0(g) <= 3000:
+            graphs.append(g)
+    results = sweep_family(graphs)
+    for name in ("matrix-tree", "completeness", "hat", "invariance"):
+        assert results[name].passed, results[name].detail
+    stats = results["_stats"]
+    assert stats.shrink_checks > 0 and stats.vertex_split_checks > 0
 
 
 def test_default_ribbon_keeps_loop_halves_adjacent():
@@ -188,8 +207,9 @@ def test_shrink_vertex_weight(tw):
 
 
 def test_split_vertex_identity(tw):
-    out, vmap = split_vertex(tw, "v1", 1, SplitPlan({}))
-    assert out is tw
+    out, vmap = split_vertex(tw, "v1", 1, SplitPlan({"a": [(0, 2)],
+                                                     "b": [(0, 2)]}))
+    assert out == tw
     assert vmap.copies["v1"] == ("v1",)
 
 
@@ -213,6 +233,9 @@ def test_split_vertex_rejects_bad_plans(tw):
         split_vertex(tw, "v1", 2, SplitPlan({"a": [(0, 2)]}))  # misses b
     with pytest.raises(PreconditionError):
         split_vertex(tw, "v1", 2, SplitPlan({"a": [(0, 1)], "b": [(0, 2)]}))
+    # one copy goes through the same checks
+    with pytest.raises(PreconditionError, match="cover exactly"):
+        split_vertex(tw, "v1", 1, SplitPlan({}))
 
 
 # The rewrites' ribbons, pinned: pieces of an edge sit one after another at

@@ -1,19 +1,86 @@
 """Named faults, each one monkeypatch of one layer, and the criteria each
-must fail on a small fixed sub-family: the sweep's four and the reference
-tours.  A later cache or shared
+must fail on a small fixed sub-family: the sweep's four, the reference
+tours, the torsor axioms, the index-1 fibers, and tours checked against
+a walk over the ribbons written here.  A later cache or shared
 computation that makes a leg compare a value with itself lets its fault
 pass, and the test that names it fails."""
 
 import dataclasses
+import random
 
 import pytest
 
-from chipfire import bernardi, picard
+from chipfire import Divisor, WeightedMultigraph, bernardi, picard, selfcheck
 from chipfire.family import pleasant_family
-from chipfire.selfcheck import check_fig2_tours, sweep_family
+from chipfire.selfcheck import (check_fig2_tours, check_index1, check_torsor,
+                                sweep_family, triangle_tw)
+from chipfire.trees import enumerate_forests
+from test_bernardi import _random_pleasant
 
-# the sweep's criteria, and criterion 3's reference tours
-CRITERIA = ("matrix-tree", "completeness", "hat", "invariance", "tours")
+# the sweep's criteria, criterion 3's reference tours, criteria 7 and 9,
+# and the tours against `_reference_tour`
+CRITERIA = ("matrix-tree", "completeness", "hat", "invariance", "tours",
+            "torsor", "index1", "reference-tours")
+
+
+def _reference_tour(g, forest, starts):
+    """Edge id -> (tail, head) from touring the forest from each root's
+    start half-edge, walking `g.ribbon` and `g.edge` only: a tree edge is
+    crossed and the walk goes on after its other half-edge there; any
+    other edge points at the vertex where it is met first, and the walk
+    goes on after it at that vertex."""
+    def after(v, h):
+        ring = g.ribbon[v]
+        return ring[(ring.index(h) + 1) % len(ring)]
+
+    forest = set(forest)
+    orient = {}
+    for root, start in starts.items():
+        v, h = root, start
+        for _ in range(2 * len(g.edges)):
+            eid, side = h
+            u = g.edge(eid).ends[1 - side]
+            if eid in forest:
+                orient.setdefault(eid, (v, u))
+                v, h = u, after(u, (eid, 1 - side))
+            else:
+                orient.setdefault(eid, (u, v))
+                h = after(v, h)
+            if (v, h) == (root, start):
+                break
+        else:
+            raise AssertionError(f"the tour from {root!r} does not close")
+    return orient
+
+
+def _tours():
+    """(graph, roots, starts, forest) on 30 seeded random graphs with
+    shuffled ribbons, one loop and parallel edges each, in one or two
+    components: a random root and start half-edge per component, and up to
+    ten random forests per graph."""
+    rng = random.Random(18)
+    graphs = 0
+    while graphs < 30:
+        parts = rng.choice((1, 2))
+        g = _random_pleasant(rng, rng.randint(2 + 2 * parts, 7), parts)
+        edges = [(e.id, e.ends) for e in g.edges]
+        if len({frozenset(ends) for _, ends in edges}) == len(edges):
+            continue  # no parallel edges
+        graphs += 1
+        g = WeightedMultigraph.build(
+            g.vertices, edges, g.vertex_weight, g.edge_weight,
+            {v: rng.sample(hs, len(hs)) for v, hs in g.ribbon.items()})
+        roots = tuple(rng.choice(comp) for comp in g.components())
+        starts = {q: rng.choice(g.ribbon[q]) for q in roots if g.ribbon[q]}
+        forests = enumerate_forests(g)
+        for forest in rng.sample(forests, min(10, len(forests))):
+            yield g, roots, starts, forest
+
+
+def _reference_tours_agree():
+    return all(bernardi.tour_forest(g, forest, roots, starts)
+               == _reference_tour(g, forest, starts)
+               for g, roots, starts, forest in _tours())
 
 
 def _unit_vector_one_chip_more(original):
@@ -35,11 +102,11 @@ def _crt_shifted(original):
 
 def _hat_sigma_reversed(original):
     # sigma read as w + 1 - sigma on the forest edges of every hat pair
-    def fault(g, hat, hat_trees):
+    def fault(g, hat):
         return [(dataclasses.replace(ts, sigma={
                     **ts.sigma, **{e: g.edge_weight[e] + 1 - ts.sigma[e]
                                    for e in ts.forest_edges}}), O)
-                for ts, O in original(g, hat, hat_trees)]
+                for ts, O in original(g, hat)]
     return fault
 
 
@@ -59,19 +126,51 @@ def _non_tree_edges_reversed(original):
     return fault
 
 
+def _tree_divisor_one_chip_more(original):
+    # the per-tree divisor with one chip more at the first vertex
+    def fault(g, ts):
+        D = original(g, ts)
+        return D + Divisor({g.vertices[0]: 1})
+    return fault
+
+
+def _torsor_act_identity(original):
+    # the action leaves every tree where it is
+    def fault(g, D0, ts):
+        return ts
+    return fault
+
+
+def _last_representative_dropped(original):
+    # the component group one representative short
+    def fault(fiber):
+        structure, reps = original(fiber)
+        return structure, reps[:-1]
+    return fault
+
+
 FAULTS = [
     pytest.param(bernardi, "_unit_vector", _unit_vector_one_chip_more,
-                 {"completeness"}, id="unit-vector-one-chip"),
-    pytest.param(bernardi, "_crt", _crt_shifted, {"completeness"},
+                 {"completeness", "torsor"}, id="unit-vector-one-chip"),
+    pytest.param(bernardi, "_crt", _crt_shifted, {"completeness", "torsor"},
                  id="crt-residue-plus-1"),
     pytest.param(bernardi, "hat_pairs", _hat_sigma_reversed, {"hat"},
                  id="hat-sigma-reversed"),
     pytest.param(picard, "_balanced_deg0_generators", _last_generator_dropped,
-                 {"matrix-tree"}, id="balanced-generator-dropped"),
+                 {"matrix-tree", "torsor"}, id="balanced-generator-dropped"),
     # every sweep leg that tours a forest goes through `_orient`, so only
-    # criterion 3's reference orientations see this
-    pytest.param(bernardi, "_orient", _non_tree_edges_reversed, {"tours"},
-                 id="non-tree-edges-reversed"),
+    # criterion 3's reference orientations and the reference walk see this
+    pytest.param(bernardi, "_orient", _non_tree_edges_reversed,
+                 {"tours", "reference-tours"}, id="non-tree-edges-reversed"),
+    # one value read by the completeness and hat legs, and by the torsor
+    # action through `reduce`
+    pytest.param(bernardi, "tree_divisor", _tree_divisor_one_chip_more,
+                 {"completeness", "hat", "torsor"},
+                 id="tree-divisor-one-chip"),
+    pytest.param(bernardi, "torsor_act", _torsor_act_identity, {"torsor"},
+                 id="torsor-act-identity"),
+    pytest.param(selfcheck, "component_group", _last_representative_dropped,
+                 {"index1"}, id="component-group-one-short"),
 ]
 
 
@@ -82,8 +181,21 @@ def family():
 
 
 def _failed(family):
-    results = {**sweep_family(family), "tours": check_fig2_tours()}
-    return {name for name in CRITERIA if not results[name].passed}
+    results = sweep_family(family)
+    checks = {name: results[name] for name in CRITERIA[:4]}
+    checks.update(
+        tours=check_fig2_tours(),
+        torsor=check_torsor([triangle_tw()] + results["_torsor_candidates"][:5]),
+        index1=check_index1(results["_index1"]))
+    failed = {name for name, r in checks.items() if not r.passed}
+    return failed if _reference_tours_agree() else failed | {"reference-tours"}
+
+
+def test_the_reference_walk_sees_loops_parallels_and_two_components():
+    tours = list(_tours())
+    assert len(tours) > 250
+    assert any(len(g.components()) == 2 for g, *_ in tours)
+    assert all(any(e.is_loop for e in g.edges) for g, *_ in tours)
 
 
 def test_the_clean_sub_family_passes_every_criterion(family):
