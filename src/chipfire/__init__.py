@@ -4,14 +4,13 @@ of special fibers."""
 
 from .errors import (ChipfireError, GraphInputError, InternalError,
                      PreconditionError)
-from .graphs import (Edge, HatGraph, SplitPlan, ValidationReport,
-                     VertexSplitMap, WeightedMultigraph, add_leaf,
-                     component_genera, expand_hat, is_pleasant,
+from .graphs import (Edge, HatGraph, ValidationReport, WeightedMultigraph,
+                     add_leaf, component_genera, expand_hat, is_pleasant,
                      shrink_vertex_weight, split_edge, split_vertex,
                      validate, vertex_gcd, weighted_genus)
 from .divisors import (Divisor, EquivalenceCertificate, LaplacianSystem,
-                       UnbalancingClass, chip_fire, degree, equivalent,
-                       is_balanced, laplacian, unbalancing_class)
+                       chip_fire, degree, equivalent, is_balanced, laplacian,
+                       unbalancing_class)
 from .trees import enumerate_forests, enumerate_trees, is_maximal_forest
 from .picard import (AbelianGroupStructure, count_pic0, count_picb0,
                      pic0_structure, picb0_structure)
@@ -24,13 +23,11 @@ from .selfcheck import run_selfcheck
 
 __all__ = [
     "ChipfireError", "GraphInputError", "InternalError", "PreconditionError",
-    "Edge", "HatGraph", "SplitPlan", "ValidationReport", "VertexSplitMap",
-    "WeightedMultigraph", "add_leaf", "component_genera", "expand_hat",
-    "is_pleasant", "shrink_vertex_weight", "split_edge", "split_vertex",
-    "validate", "vertex_gcd", "weighted_genus",
-    "Divisor", "EquivalenceCertificate", "LaplacianSystem",
-    "UnbalancingClass", "chip_fire", "degree", "equivalent", "is_balanced",
-    "laplacian", "unbalancing_class",
+    "Edge", "HatGraph", "ValidationReport", "WeightedMultigraph", "add_leaf",
+    "component_genera", "expand_hat", "is_pleasant", "shrink_vertex_weight",
+    "split_edge", "split_vertex", "validate", "vertex_gcd", "weighted_genus",
+    "Divisor", "EquivalenceCertificate", "LaplacianSystem", "chip_fire",
+    "degree", "equivalent", "is_balanced", "laplacian", "unbalancing_class",
     "enumerate_forests", "enumerate_trees", "is_maximal_forest",
     "AbelianGroupStructure", "count_pic0", "count_picb0", "pic0_structure",
     "picb0_structure",

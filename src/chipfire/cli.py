@@ -17,7 +17,7 @@ from .divisors import check_on_graph, laplacian
 from .errors import GraphInputError, InternalError, PreconditionError
 from .fibers import (SpecialFiberDescription, component_group_structure,
                      dual_graph, phi_note)
-from .graphs import (SplitPlan, add_leaf, component_genera, expand_hat,
+from .graphs import (add_leaf, component_genera, expand_hat,
                      shrink_vertex_weight, split_edge, split_vertex,
                      validate, weighted_genus)
 from .selfcheck import run_selfcheck
@@ -201,10 +201,9 @@ def _cmd_rewrite(args):
             raise GraphInputError(
                 'malformed split plan: "parts" must map edge ids to lists of '
                 "[copy, weight], with a pair of copies for a loop")
-        parts = {serialize.graph_id(g.edge_by_key, eid):
-                 [(tuple(c) if isinstance(c, list) else c, w) for c, w in ps]
-                 for eid, ps in parts.items()}
-        out, _vmap = split_vertex(g, v, args.copies, SplitPlan(parts))
+        out = split_vertex(g, v, args.copies,
+                           {serialize.graph_id(g.edge_by_key, eid): ps
+                            for eid, ps in parts.items()})[0]
     _emit_graph(out, args.format)
     return 0
 

@@ -61,15 +61,10 @@ def is_balanced(g, D) -> bool:
                for v in g.vertices)
 
 
-@dataclass(frozen=True)
-class UnbalancingClass:
-    residues: dict  # vertex -> int in [0, w(v))
-
-
-def unbalancing_class(g, D) -> UnbalancingClass:
+def unbalancing_class(g, D) -> dict:
+    """Vertex -> the residue of D there mod w(v), an int in [0, w(v))."""
     check_on_graph(g, D)
-    return UnbalancingClass(
-        {v: D.coefficients.get(v, 0) % g.vertex_weight[v] for v in g.vertices})
+    return {v: D.coefficients.get(v, 0) % g.vertex_weight[v] for v in g.vertices}
 
 
 def laplacian(g, f) -> Divisor:

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 from .bernardi import balanced_representatives
 from .divisors import Divisor, LaplacianSystem, degree, is_balanced
 from .errors import GraphInputError, InternalError, PreconditionError
-from .graphs import (VertexSplitMap, WeightedMultigraph, _distinct_json_keys,
-                     is_int, validate)
+from .graphs import WeightedMultigraph, _distinct_json_keys, is_int, validate
 from .picard import picb0_structure
 # unused here; perfbench's tests check that its tracer rebinds this alias
 from .trees import enumerate_forests  # noqa: F401
@@ -107,42 +106,36 @@ def phi_note(f: SpecialFiberDescription) -> str:
     return PHI_NOTE_GENERIC
 
 
-def psi_map(old_g, split: VertexSplitMap, D: Divisor) -> Divisor:
-    """Push a balanced divisor through a vertex split: the coefficient at a
-    split vertex spreads evenly over its copies."""
+def psi_map(old_g, copies, D: Divisor) -> Divisor:
+    """Push a balanced divisor through a vertex split, given `split_vertex`'s
+    map from each old vertex to its copies: the coefficient at a split
+    vertex spreads evenly over its copies."""
     if not is_balanced(old_g, D):
         raise PreconditionError("the base-change divisor map needs a balanced divisor")
     out = {}
     for v in old_g.vertices:
-        copies = split.copies[v]
         c = D.coefficients.get(v, 0)
-        r = len(copies)
+        r = len(copies[v])
         if c % r:  # r divides w(v), which divides c
             raise InternalError(f"{r} copies do not divide the coefficient {c} at {v!r}")
-        for name in copies:
+        for name in copies[v]:
             out[name] = c // r
     return Divisor(out)
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
-    injective: bool
-    checked: int
-    witness: tuple | None  # (D1, D2) with distinct old classes mapping together
-
-
-def check_base_change_injectivity(old_g, new_g, correspondence,
-                                  reps) -> InjectivityReport:
+def check_base_change_injectivity(old_g, new_g, copies, reps):
     """Check that the induced map on balanced Jacobians is injective on
-    reps, one balanced degree-0 divisor per class of old_g.
+    reps, one balanced degree-0 divisor per class of old_g.  Returns None
+    when it is, and otherwise a witness pair (D1, D2) of reps in distinct
+    old classes that map to one new class.
 
-    `correspondence` is a VertexSplitMap for vertex splits, or None when the
-    vertex sets agree (edge split, weight shrink).
+    `copies` is `split_vertex`'s map from old vertices to their copies, or
+    None when the vertex sets agree (edge split, weight shrink).
     """
-    if correspondence is None:
+    if copies is None:
         images = list(reps)
     else:
-        images = [psi_map(old_g, correspondence, D) for D in reps]
+        images = [psi_map(old_g, copies, D) for D in reps]
     sys = LaplacianSystem(new_g)
     seen = {}
     for D_old, D_new in zip(reps, images):
@@ -150,6 +143,6 @@ def check_base_change_injectivity(old_g, new_g, correspondence,
             raise InternalError(f"base change moved {D_old} out of degree 0")
         key = sys.class_key(D_new)
         if key in seen:
-            return InjectivityReport(False, len(reps), (seen[key], D_old))
+            return seen[key], D_old
         seen[key] = D_old
-    return InjectivityReport(True, len(reps), None)
+    return None

@@ -440,35 +440,22 @@ def shrink_vertex_weight(g, v, new_weight):
                                     vw, dict(g.edge_weight), dict(g.ribbon))
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    """How the edges at a split vertex redistribute over the copies.
+def split_vertex(g, v, r, plan):
+    """Split v into r copies of weight w(v)/r, redistributing its edges.
 
-    For a non-loop edge at v: a list of (copy_index, weight) parts.
-    For a loop at v: a list of ((copy_index, copy_index), weight) parts.
-    Copy indices are ints in 0..r-1.  Part weights must sum to the
-    original edge weight.  This data comes from the caller; the graph
-    alone does not determine it.
-    """
-    parts: dict
-
-
-@dataclass(frozen=True)
-class VertexSplitMap:
-    """Records old vertex -> its copies for a split_vertex rewrite."""
-    copies: dict  # every old vertex maps to a tuple of new vertices
-
-
-def split_vertex(g, v, r, plan: SplitPlan):
-    """Split v into r copies of weight w(v)/r, redistributing edges per `plan`.
-    With r = 1 the copy keeps v's id, and a plan with one part per edge
-    gives a graph equal to g."""
+    `plan` maps each edge at v to a list of (copy_index, weight) parts,
+    and each loop at v to a list of ((copy_index, copy_index), weight)
+    parts.  Copy indices are ints in 0..r-1, and an edge's part weights
+    sum to its weight.  This data comes from the caller; the graph alone
+    does not determine it.  Returns the new graph and the map from every
+    old vertex to the tuple of its copies.  With r = 1 the copy keeps v's
+    id, and a plan with one part per edge gives a graph equal to g."""
     g.vindex(v)  # rejects an unknown vertex
     if not is_int(r) or r < 1 or g.vertex_weight[v] % r:
         raise PreconditionError("number of copies must divide the vertex weight")
     copies = {u: (u,) for u in g.vertices}
     incident = [e for e in g.edges if v in e.ends]
-    if set(plan.parts) != {e.id for e in incident}:
+    if set(plan) != {e.id for e in incident}:
         raise PreconditionError("plan must cover exactly the edges at the split vertex")
     # a single copy keeps the vertex's id
     names = [v] if r == 1 else _fresh_ids(
@@ -482,7 +469,7 @@ def split_vertex(g, v, r, plan: SplitPlan):
     taken = {e.id for e in g.edges}
     pieces = {}
     for e in incident:
-        parts = list(plan.parts[e.id])
+        parts = list(plan[e.id])
         if any(not is_int(w) for _, w in parts):
             raise PreconditionError("plan part weights must be positive integers")
         if not parts or sum(w for _, w in parts) != g.edge_weight[e.id]:
@@ -509,5 +496,8 @@ def split_vertex(g, v, r, plan: SplitPlan):
         {x: g.vertex_weight[u] // len(copies[u])
          for u in g.vertices for x in copies[u]})
     if not is_pleasant(out):
-        raise PreconditionError("split plan breaks pleasantness")
-    return out, VertexSplitMap(copies)
+        # checked only now, since a split can make a graph pleasant
+        issues = validate(g).issues
+        raise PreconditionError(f"the graph is not pleasant: {issues[0]}"
+                                if issues else "split plan breaks pleasantness")
+    return out, copies

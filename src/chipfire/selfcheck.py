@@ -21,15 +21,14 @@ from dataclasses import dataclass, field
 
 from . import bernardi, intlinalg, picard, trees
 from .divisors import (Divisor, LaplacianSystem, chip_fire, degree,
-                       equivalent, is_balanced, laplacian)
+                       equivalent, is_balanced, laplacian, unbalancing_class)
 from .errors import ChipfireError, InternalError
 from .family import pleasant_family
 from .fibers import (SpecialFiberDescription, balanced_representatives,
                      check_base_change_injectivity, component_group)
 from .graphs import (WeightedMultigraph, add_leaf, expand_hat, forget_tables,
                      is_pleasant, split_edge, shrink_vertex_weight,
-                     split_vertex, SplitPlan, validate, vertex_gcd,
-                     weighted_genus)
+                     split_vertex, validate, vertex_gcd, weighted_genus)
 
 
 @dataclass
@@ -161,7 +160,7 @@ def _auto_split_plan(g, v, r):
             if share % g.vertex_weight[other] or share % (g.vertex_weight[v] // r):
                 return None
             parts[e.id] = [(j, share) for j in range(r)]
-    return SplitPlan(parts)
+    return parts
 
 
 def _exponent(structure):
@@ -318,10 +317,10 @@ def sweep_family(family) -> dict:
         heavy = [v for v in g.vertices if g.vertex_weight[v] > 1]
         if heavy:
             shrunk = shrink_vertex_weight(g, heavy[0], 1)
-            rep = check_base_change_injectivity(g, shrunk, None, repsb)
+            witness = check_base_change_injectivity(g, shrunk, None, repsb)
             stats.shrink_checks += 1
-            if not rep.injective:
-                bad("invariance", g, f"shrink injectivity witness {rep.witness}")
+            if witness is not None:
+                bad("invariance", g, f"shrink injectivity witness {witness}")
         for v in heavy:
             r = 2 if g.vertex_weight[v] % 2 == 0 else None
             if r is None:
@@ -329,11 +328,11 @@ def sweep_family(family) -> dict:
             plan = _auto_split_plan(g, v, r)
             if plan is None:
                 continue
-            gv, vmap = split_vertex(g, v, r, plan)
-            rep = check_base_change_injectivity(g, gv, vmap, repsb)
+            gv, copies = split_vertex(g, v, r, plan)
+            witness = check_base_change_injectivity(g, gv, copies, repsb)
             stats.vertex_split_checks += 1
-            if not rep.injective:
-                bad("invariance", g, f"vertex split witness {rep.witness}")
+            if witness is not None:
+                bad("invariance", g, f"vertex split witness {witness}")
             break
 
         # index-1 fibers
@@ -436,16 +435,18 @@ def check_index1(collected) -> CheckResult:
 
 def check_divisor_properties(family, seed=0) -> CheckResult:
     """Randomized spot checks: Laplacian degree/balancedness, chip-firing,
-    unbalancing counts, and equivalence being an equivalence relation."""
+    unbalancing counts and classes, and equivalence being an equivalence
+    relation."""
     rng = random.Random(seed)
     problems = []
     sample = family if len(family) <= 200 else rng.sample(family, 200)
     for g in sample:
         f = {v: rng.randint(-3, 3) for v in g.vertices}
         D = laplacian(g, f)
+        pleasant = is_pleasant(g)
         if degree(D) != 0:
             problems.append((g, "principal divisor with nonzero degree"))
-        if is_pleasant(g) and not is_balanced(g, D):
+        if pleasant and not is_balanced(g, D):
             problems.append((g, "principal divisor unbalanced on pleasant graph"))
         v = rng.choice(g.vertices)
         # against the Laplacian matrix, which is separate code
@@ -472,6 +473,18 @@ def check_divisor_properties(family, seed=0) -> CheckResult:
         if equivalent(g, D1, D1) is None or equivalent(g, D1, D2) is None \
                 or equivalent(g, D2, D1) is None:
             problems.append((g, "equivalence relation violated"))
+        # on a pleasant graph the unbalancing class vanishes on principal
+        # divisors, so it is constant on each class, and is zero exactly
+        # on the balanced divisors
+        if pleasant:
+            zero = dict.fromkeys(g.vertices, 0)
+            alpha = unbalancing_class(g, D1)
+            if unbalancing_class(g, D) != zero:
+                problems.append((g, "principal divisor with nonzero unbalancing class"))
+            if unbalancing_class(g, D2) != alpha:
+                problems.append((g, "unbalancing class moved by a principal divisor"))
+            if is_balanced(g, D1) != (alpha == zero):
+                problems.append((g, "is_balanced disagrees with unbalancing_class"))
     return CheckResult(
         f"divisor properties on {len(sample)} random instances "
         f"(Laplacian, chip-firing, unbalancings, equivalence)",

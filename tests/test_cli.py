@@ -553,6 +553,31 @@ def test_split_vertex_plans(tmp_path, capsys, plan, code, copies):
         assert "malformed split plan" in err
 
 
+# a (weight 2) with one weight-3 edge x: not pleasant until a is split in two
+SPLIT_NOT_PLEASANT = {"vertices": [{"id": "a", "weight": 2}, {"id": "b"}],
+                      "edges": [{"id": "x", "ends": ["a", "b"], "weight": 3}]}
+
+
+@pytest.mark.parametrize("copies, parts, code", [
+    (1, [[0, 3]], 2), (2, [[0, 1], [1, 2]], 0)],
+    ids=["one-copy-names-the-graph", "two-copies-make-it-pleasant"])
+def test_split_vertex_of_a_graph_that_is_not_pleasant(tmp_path, capsys,
+                                                      copies, parts, code):
+    got, out, err = _run(capsys, "rewrite",
+                         "--graph", _write(tmp_path, "g.json",
+                                           SPLIT_NOT_PLEASANT),
+                         "split-vertex", "--vertex", "a", "--copies",
+                         str(copies), "--plan",
+                         _write(tmp_path, "p.json", {"parts": {"x": parts}}))
+    if code:
+        assert (got, out) == (2, "")
+        assert err == ("error: the graph is not pleasant: edge 'x' has "
+                       "weight 3, not divisible by weight 2 of vertex 'a'\n")
+    else:
+        assert (got, err) == (0, "")
+        assert [v["weight"] for v in json.loads(out)["vertices"]] == [1, 1, 1]
+
+
 def test_graph_json_round_trip(tw_file):
     g = serialize.graph_from_obj(TW_OBJ)
     assert serialize.graph_from_obj(serialize.graph_to_obj(g)) == g

@@ -29,12 +29,12 @@ def test_is_balanced(four_edge_pleasant, tw):
 
 def test_unbalancing_class(four_edge_pleasant, tw):
     g = four_edge_pleasant
-    classes = {tuple(sorted(unbalancing_class(g, Divisor({"v1": a})).residues.items()))
+    classes = {tuple(sorted(unbalancing_class(g, Divisor({"v1": a})).items()))
                for a in range(-4, 5)}
     assert len(classes) == 2
-    assert unbalancing_class(tw, Divisor({"v1": 4, "v2": 2, "v3": -1})).residues \
+    assert unbalancing_class(tw, Divisor({"v1": 4, "v2": 2, "v3": -1})) \
         == {"v1": 0, "v2": 0, "v3": 0}
-    assert unbalancing_class(tw, Divisor({"v1": 1, "v2": 5, "v3": -2})).residues \
+    assert unbalancing_class(tw, Divisor({"v1": 1, "v2": 5, "v3": -2})) \
         == {"v1": 1, "v2": 0, "v3": 0}
 
 

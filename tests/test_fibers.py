@@ -3,10 +3,10 @@ import warnings
 import pytest
 
 from chipfire import (Divisor, GraphInputError, PreconditionError,
-                      SpecialFiberDescription, SplitPlan, WeightedMultigraph,
-                      component_group, count_picb0, dual_graph, phi_note,
-                      shrink_vertex_weight, split_edge, split_vertex,
-                      tree_divisor, validate)
+                      SpecialFiberDescription, WeightedMultigraph,
+                      component_group, count_picb0, dual_graph, equivalent,
+                      phi_note, shrink_vertex_weight, split_edge,
+                      split_vertex, tree_divisor, validate)
 from chipfire.fibers import check_base_change_injectivity, psi_map
 from chipfire.picard import enumerate_coset_representatives_bruteforce
 
@@ -114,12 +114,12 @@ def _tw():
 
 def test_psi_map():
     tw = _tw()
-    plan = SplitPlan({"a": [(0, 1), (1, 1)], "b": [(0, 1), (1, 1)]})
-    _, vmap = split_vertex(tw, "v1", 2, plan)
-    out = psi_map(tw, vmap, Divisor({"v1": 2, "v2": -1, "v3": -1}))
+    plan = {"a": [(0, 1), (1, 1)], "b": [(0, 1), (1, 1)]}
+    _, copies = split_vertex(tw, "v1", 2, plan)
+    out = psi_map(tw, copies, Divisor({"v1": 2, "v2": -1, "v3": -1}))
     assert out.coefficients == {"v1_1": 1, "v1_2": 1, "v2": -1, "v3": -1}
     with pytest.raises(PreconditionError):
-        psi_map(tw, vmap, Divisor({"v1": 1, "v2": 0, "v3": -1}))
+        psi_map(tw, copies, Divisor({"v1": 1, "v2": 0, "v3": -1}))
 
 
 def test_injectivity_edge_split():
@@ -127,22 +127,38 @@ def test_injectivity_edge_split():
         ["u", "v"], [("e", ("u", "v")), ("f", ("u", "v"))],
         edge_weight={"e": 3})
     out = split_edge(g, "e", [2, 1])
-    rep = check_base_change_injectivity(g, out, None, _balanced_reps(g))
-    assert rep.injective and rep.checked == 4
+    reps = _balanced_reps(g)
+    assert len(reps) == 4
+    assert check_base_change_injectivity(g, out, None, reps) is None
     assert count_picb0(out) == count_picb0(g)
 
 
 def test_injectivity_shrink():
     tw = _tw()
     out = shrink_vertex_weight(tw, "v1", 1)
-    rep = check_base_change_injectivity(tw, out, None, _balanced_reps(tw))
-    assert rep.injective and rep.checked == 4
+    reps = _balanced_reps(tw)
+    assert len(reps) == 4
+    assert check_base_change_injectivity(tw, out, None, reps) is None
     assert count_picb0(out) == 8
 
 
 def test_injectivity_vertex_split():
     tw = _tw()
-    plan = SplitPlan({"a": [(0, 1), (1, 1)], "b": [(0, 1), (1, 1)]})
-    out, vmap = split_vertex(tw, "v1", 2, plan)
-    rep = check_base_change_injectivity(tw, out, vmap, _balanced_reps(tw))
-    assert rep.injective and rep.checked == 4
+    plan = {"a": [(0, 1), (1, 1)], "b": [(0, 1), (1, 1)]}
+    out, copies = split_vertex(tw, "v1", 2, plan)
+    reps = _balanced_reps(tw)
+    assert len(reps) == 4
+    assert check_base_change_injectivity(tw, out, copies, reps) is None
+
+
+def test_injectivity_witness_when_the_edge_weight_halves():
+    # u-v with edge weight 2 has two balanced classes; with weight 1, one
+    old = WeightedMultigraph.build(["u", "v"], [("e", ("u", "v"))],
+                                   edge_weight={"e": 2})
+    new = WeightedMultigraph.build(["u", "v"], [("e", ("u", "v"))])
+    reps = _balanced_reps(old)
+    assert len(reps) == 2
+    D1, D2 = check_base_change_injectivity(old, new, None, reps)
+    assert D1 in reps and D2 in reps
+    assert equivalent(old, D1, D2) is None
+    assert equivalent(new, D1, D2) is not None

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from chipfire import (GraphInputError, InternalError, PreconditionError,
-                      SplitPlan, WeightedMultigraph, bernardi, serialize,
+                      WeightedMultigraph, bernardi, serialize,
                       add_leaf, expand_hat, pic0_structure, picb0_structure,
                       count_pic0, count_picb0, shrink_vertex_weight, split_edge,
                       split_vertex, tour_forest, validate, weighted_genus)
@@ -207,10 +207,9 @@ def test_shrink_vertex_weight(tw):
 
 
 def test_split_vertex_identity(tw):
-    out, vmap = split_vertex(tw, "v1", 1, SplitPlan({"a": [(0, 2)],
-                                                     "b": [(0, 2)]}))
+    out, copies = split_vertex(tw, "v1", 1, {"a": [(0, 2)], "b": [(0, 2)]})
     assert out == tw
-    assert vmap.copies["v1"] == ("v1",)
+    assert copies["v1"] == ("v1",)
 
 
 def test_split_vertex_tw():
@@ -218,24 +217,41 @@ def test_split_vertex_tw():
         ["v1", "v2", "v3"],
         [("a", ("v1", "v2")), ("b", ("v1", "v3")), ("c", ("v2", "v3"))],
         {"v1": 2}, {"a": 2, "b": 2})
-    plan = SplitPlan({"a": [(0, 1), (1, 1)], "b": [(0, 1), (1, 1)]})
-    out, vmap = split_vertex(tw, "v1", 2, plan)
+    plan = {"a": [(0, 1), (1, 1)], "b": [(0, 1), (1, 1)]}
+    out, copies = split_vertex(tw, "v1", 2, plan)
     assert len(out.vertices) == 4 and len(out.edges) == 5
     assert all(w == 1 for w in out.vertex_weight.values())
     assert all(w == 1 for w in out.edge_weight.values())
     assert validate(out).pleasant
     assert pic0_structure(out).order == 8
-    assert vmap.copies["v1"] == ("v1_1", "v1_2")
+    assert copies["v1"] == ("v1_1", "v1_2")
 
 
 def test_split_vertex_rejects_bad_plans(tw):
     with pytest.raises(PreconditionError):
-        split_vertex(tw, "v1", 2, SplitPlan({"a": [(0, 2)]}))  # misses b
+        split_vertex(tw, "v1", 2, {"a": [(0, 2)]})  # misses b
     with pytest.raises(PreconditionError):
-        split_vertex(tw, "v1", 2, SplitPlan({"a": [(0, 1)], "b": [(0, 2)]}))
+        split_vertex(tw, "v1", 2, {"a": [(0, 1)], "b": [(0, 2)]})
     # one copy goes through the same checks
     with pytest.raises(PreconditionError, match="cover exactly"):
-        split_vertex(tw, "v1", 1, SplitPlan({}))
+        split_vertex(tw, "v1", 1, {})
+
+
+def test_split_vertex_blames_the_graph_before_the_plan():
+    # a has weight 2 and its one edge x weight 3, so g is not pleasant
+    g = WeightedMultigraph.build(["a", "b"], [("x", ("a", "b"))],
+                                 {"a": 2}, {"x": 3})
+    with pytest.raises(PreconditionError, match=(
+            "^the graph is not pleasant: edge 'x' has weight 3, "
+            "not divisible by weight 2 of vertex 'a'$")):
+        split_vertex(g, "a", 1, {"x": [(0, 3)]})
+    # two copies of weight 1 make it pleasant
+    assert validate(split_vertex(g, "a", 2, {"x": [(0, 1), (1, 2)]})[0]).pleasant
+    # from a pleasant graph, the plan is to blame
+    h = WeightedMultigraph.build(["v", "u"], [("e", ("v", "u"))],
+                                 {"v": 4}, {"e": 4})
+    with pytest.raises(PreconditionError, match="^split plan breaks pleasantness$"):
+        split_vertex(h, "v", 2, {"e": [(0, 1), (1, 3)]})
 
 
 # The rewrites' ribbons, pinned: pieces of an edge sit one after another at
@@ -266,8 +282,8 @@ def test_split_vertex_ribbons():
         {"v": 2}, {"l": 2, "e": 2},
         {"v": [("l", 0), ("e", 0), ("l", 1)],
          "u": [("f", 0), ("e", 1), ("h", 0)], "w": [("f", 1), ("h", 1)]})
-    plan = SplitPlan({"l": [((0, 1), 1), ((1, 1), 1)], "e": [(0, 1), (1, 1)]})
-    out, vmap = split_vertex(g, "v", 2, plan)
+    plan = {"l": [((0, 1), 1), ((1, 1), 1)], "e": [(0, 1), (1, 1)]}
+    out, copies = split_vertex(g, "v", 2, plan)
     assert serialize.graph_to_obj(out) == _obj(
         ["v_1", "v_2", "u", "w"],
         [("l.1", ("v_1", "v_2")), ("l.2", ("v_2", "v_2")),
@@ -275,7 +291,7 @@ def test_split_vertex_ribbons():
          ("h", "uw")],
         {"v_1": ["l.1", "e.1"], "v_2": ["l.2:0", "e.2", "l.1", "l.2:1"],
          "u": ["f", "e.1", "e.2", "h"], "w": ["f", "h"]})
-    assert vmap.copies == {"v": ("v_1", "v_2"), "u": ("u",), "w": ("w",)}
+    assert copies == {"v": ("v_1", "v_2"), "u": ("u",), "w": ("w",)}
 
 
 def test_expand_hat_ribbon_of_a_loop():

@@ -1,9 +1,9 @@
 """Named faults, each one monkeypatch of one layer, and the criteria each
 must fail on a small fixed sub-family: the sweep's four, the reference
-tours, the torsor axioms, the index-1 fibers, and tours checked against
-a walk over the ribbons written here.  A later cache or shared
-computation that makes a leg compare a value with itself lets its fault
-pass, and the test that names it fails."""
+tours, the torsor axioms, the index-1 fibers, the divisor properties,
+and tours checked against a walk over the ribbons written here.  A later
+cache or shared computation that makes a leg compare a value with itself
+lets its fault pass, and the test that names it fails."""
 
 import dataclasses
 import random
@@ -12,15 +12,17 @@ import pytest
 
 from chipfire import Divisor, WeightedMultigraph, bernardi, picard, selfcheck
 from chipfire.family import pleasant_family
-from chipfire.selfcheck import (check_fig2_tours, check_index1, check_torsor,
-                                sweep_family, triangle_tw)
+from chipfire.selfcheck import (check_divisor_properties, check_fig2_tours,
+                                check_index1, check_torsor, sweep_family,
+                                triangle_tw)
 from chipfire.trees import enumerate_forests
 from test_bernardi import _random_pleasant
 
 # the sweep's criteria, criterion 3's reference tours, criteria 7 and 9,
-# and the tours against `_reference_tour`
+# the supporting divisor properties, and the tours against
+# `_reference_tour`
 CRITERIA = ("matrix-tree", "completeness", "hat", "invariance", "tours",
-            "torsor", "index1", "reference-tours")
+            "torsor", "index1", "properties", "reference-tours")
 
 
 def _reference_tour(g, forest, starts):
@@ -149,6 +151,18 @@ def _last_representative_dropped(original):
     return fault
 
 
+def _first_heavy_residue_plus_1(original):
+    # the residue at the first vertex of weight > 1 moved by one
+    def fault(g, D):
+        residues = original(g, D)
+        heavy = [v for v in g.vertices if g.vertex_weight[v] > 1]
+        if heavy:
+            v = heavy[0]
+            residues[v] = (residues[v] + 1) % g.vertex_weight[v]
+        return residues
+    return fault
+
+
 FAULTS = [
     pytest.param(bernardi, "_unit_vector", _unit_vector_one_chip_more,
                  {"completeness", "torsor"}, id="unit-vector-one-chip"),
@@ -171,6 +185,8 @@ FAULTS = [
                  id="torsor-act-identity"),
     pytest.param(selfcheck, "component_group", _last_representative_dropped,
                  {"index1"}, id="component-group-one-short"),
+    pytest.param(selfcheck, "unbalancing_class", _first_heavy_residue_plus_1,
+                 {"properties"}, id="unbalancing-residue-plus-1"),
 ]
 
 
@@ -186,7 +202,8 @@ def _failed(family):
     checks.update(
         tours=check_fig2_tours(),
         torsor=check_torsor([triangle_tw()] + results["_torsor_candidates"][:5]),
-        index1=check_index1(results["_index1"]))
+        index1=check_index1(results["_index1"]),
+        properties=check_divisor_properties(family))
     failed = {name for name, r in checks.items() if not r.passed}
     return failed if _reference_tours_agree() else failed | {"reference-tours"}
 

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GOLDEN_DIGEST = Path(__file__).resolve().parent / "data" / "cli_digest_seed7.txt"
 
 
 def test_walkthrough_counts_each_trees_sub_weightings():
@@ -29,3 +30,24 @@ def test_cli_digest_without_a_seed_prints_its_usage():
                           timeout=60)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "usage: cli_digest.py SEED\n"
+
+
+def test_cli_digest_matches_its_golden_file():
+    """`scripts/cli_digest.py 7`, the exit code and stdout digest of each of
+    the 1,620 CLI calls in the benchmark's `queries` pool for seed 7,
+    against `tests/data/cli_digest_seed7.txt`.
+
+    A change that alters CLI stdout or exit codes on purpose regenerates
+    the file (`python3 scripts/cli_digest.py 7 >
+    tests/data/cli_digest_seed7.txt`) and names each changed kind in
+    CHANGES.md.  So does a benchmark change to the `queries` pool."""
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "cli_digest.py"), "7"],
+                          capture_output=True, text=True, check=False,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = proc.stdout.splitlines()
+    want = GOLDEN_DIGEST.read_text(encoding="utf-8").splitlines()
+    differ = [line.split()[:2] for line, old in zip(got, want) if line != old]
+    assert not differ, (f"{len(differ)} ops differ; the first is index "
+                        f"{differ[0][0]}, kind {differ[0][1]}")
+    assert len(got) == len(want) == 1620

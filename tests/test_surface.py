@@ -8,7 +8,7 @@ from pathlib import Path
 import chipfire
 
 ORACLES = {"BernardiReducer", "enumerate_coset_representatives_bruteforce",
-           "check_base_change_injectivity", "InjectivityReport", "psi_map",
+           "check_base_change_injectivity", "psi_map",
            "enumerate_subweightings"}
 
 
