@@ -12,80 +12,86 @@ from operator import mul
 from .errors import InternalError
 
 
+def coprime_split(m, c):
+    """(a, m // a) for m > 0: a is the largest divisor of m whose primes
+    all divide c, so the two parts are coprime and m // a is coprime to
+    c."""
+    r = m
+    while (d := math.gcd(r, c)) > 1:
+        r //= d
+        c = d
+    return m // r, r
+
+
 def smith_diagonal(A, m):
     """Smith diagonal of A modulo m > 0: [gcd(s_i, m)] for i < min(rows, cols),
     where s_1 | s_2 | ... is the Smith diagonal of A over the integers.
 
     Every entry is kept reduced mod m, so coefficients stay below m.  The
     result is the exact Smith diagonal of A whenever A has full rank and m
-    is a multiple of the exponent of the torsion of its cokernel.
+    is a multiple of the exponent of the torsion of its cokernel.  With
+    m = 1 no elimination runs.
     """
     rows = len(A)
-    cols = len(A[0]) if rows else 0
-    S = [[x % m for x in row] for row in A]
+    if m == 1:
+        return [1] * (min(rows, len(A[0])) if rows else 0)
+    return _diagonal([[x % m for x in row] for row in A], m)
 
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
 
-    # While some entry is a unit mod m, pivot on it: once its column is
-    # cleared, the column steps that clear its row change nothing else, so
-    # it contributes a 1 and the Euclidean steps below reduce the rest.
-    t = 0
-    while t < min(rows, cols):
-        unit = next(((i, j) for i in range(t, rows) for j in range(t, cols)
-                     if math.gcd(S[i][j], m) == 1), None)
-        if unit is None:
-            break
-        S[t], S[unit[0]] = S[unit[0]], S[t]
-        swap_cols(t, unit[1])
-        pivot_row = S[t]
-        inv = pow(pivot_row[t], -1, m)
-        for i in range(t + 1, rows):
-            f = S[i][t] * inv % m
-            if f:
-                S[i] = [(a - f * b) % m for a, b in zip(S[i], pivot_row)]
-        t += 1
+def _diagonal(S, m):
+    """smith_diagonal of S, whose entries are reduced mod m; consumes S.
 
-    for t in range(t, min(rows, cols)):
-        piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = S[i][j]
-                if v and (piv is None or v < S[piv[0]][piv[1]]):
-                    piv = (i, j)
-        if piv is None:
-            break
-        S[t], S[piv[0]] = S[piv[0]], S[t]
-        swap_cols(t, piv[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    S[i] = [(a - q * b) % m for a, b in zip(S[i], S[t])]
-                    if S[i][t]:
-                        # remainder is smaller than the pivot; promote it
-                        S[t], S[i] = S[i], S[t]
-                        dirty = True
-            for j in range(t + 1, cols):
-                if S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    for row in S[t:]:
-                        row[j] = (row[j] - q * row[t]) % m
-                    if S[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            bad = next((i for i in range(t + 1, rows)
-                        if any(S[i][j] % S[t][t] for j in range(t + 1, cols))),
-                       None)
-            if bad is None:
+    Each step pivots on an entry x whose g = gcd(x, m) divides every entry
+    of the block, so g is the block's first invariant factor mod m: a unit
+    when there is one, else the entry of least g.  Its row steps clear its
+    column; the column steps that would clear its row change nothing else,
+    so the pivot row and column just leave the block.  When the least g
+    fails to divide some entry y, the primes where x has more of m than y
+    has are split from the rest, m = a * b with a and b coprime, and the
+    block continues modulo each part; by the Chinese remainder theorem
+    the two diagonals multiply entrywise.
+    """
+    gcd = math.gcd
+    diag = []
+    while S and S[0]:
+        g = m
+        for i, row in enumerate(S):
+            for j, x in enumerate(row):
+                d = gcd(x, m)
+                if d < g:
+                    g, pi, pj = d, i, j
+                    if g == 1:
+                        break
+            if g == 1:
                 break
-            # fold the offending row in so the pivot can shrink to the gcd
-            S[t] = [(a + b) % m for a, b in zip(S[t], S[bad])]
-    return [math.gcd(S[i][i], m) for i in range(min(rows, cols))]
+        if g == m:  # the block is zero mod m
+            return diag + [m] * min(len(S), len(S[0]))
+        if g > 1:
+            y = next((x for row in S for x in row if x % g), None)
+            if y is not None:
+                a, b = coprime_split(m, g // gcd(g, y))
+                return diag + [x * z for x, z in zip(
+                    _diagonal([[x % a for x in row] for row in S], a),
+                    _diagonal([[x % b for x in row] for row in S], b))]
+        # move the pivot to the last row and column, then drop both
+        S[pi], S[-1] = S[-1], S[pi]
+        pivot_row = S.pop()
+        for row in S:
+            row[pj], row[-1] = row[-1], row[pj]
+        pivot_row[pj], pivot_row[-1] = pivot_row[-1], pivot_row[pj]
+        # x = g u with u a unit mod m/g, and g divides each entry f of the
+        # column, so subtracting (f/g) u^-1 times the pivot row clears f
+        mg = m // g
+        inv = pow(pivot_row.pop() // g, -1, mg)
+        cols = range(len(pivot_row))
+        for row in S:
+            f = row.pop()
+            if f:
+                f = f // g * inv % mg
+                for j in cols:
+                    row[j] = (row[j] - f * pivot_row[j]) % m
+        diag.append(g)
+    return diag
 
 
 def gcd_basis(w):
@@ -182,6 +188,28 @@ def _solve_columns(A, cols):
 def det(A):
     """Exact determinant of a square integer matrix (Bareiss)."""
     return _eliminate([list(map(int, row)) for row in A], len(A))
+
+
+def cyclic_split(A):
+    """(m, m1) for a nonsingular square A, with m = |det A| and m1 the full
+    prime powers in m of the primes that divide two (n-1)-minors of A.  A
+    prime of m // m1 misses an (n-1)-minor, so it divides only the largest
+    invariant factor of A (Cohen, GTM 138, section 2.4): the part of the
+    cokernel Z^n / A Z^n of order m // m1 is cyclic.  Raises ValueError if
+    A is singular.
+
+    The minors are two that Bareiss's elimination leaves in its last pivot
+    row, so this costs one determinant.
+    """
+    n = len(A)
+    M = [list(map(int, row)) for row in A]
+    m = abs(_eliminate(M, n))
+    if m == 0:
+        raise ValueError("singular matrix")
+    if n < 2:
+        return m, 1
+    minors = math.gcd(M[n - 2][n - 2], M[n - 2][n - 1])
+    return m, coprime_split(m, math.gcd(m, minors))[0]
 
 
 def solve(A, b):

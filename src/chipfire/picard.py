@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 
 from . import intlinalg
@@ -26,21 +25,29 @@ class AbelianGroupStructure:
         return out
 
 
-def _structure(A, m):
-    """Invariant factors of the torsion of Z^rows / col-span(A); m must be a
-    multiple of its exponent."""
-    return AbelianGroupStructure(
-        tuple(d for d in intlinalg.smith_diagonal(A, m) if d > 1))
+def _structure(A, m1, m2):
+    """Invariant factors of the torsion T of Z^rows / col-span(A), for
+    coprime m1 and m2 with |T| dividing m1 * m2 and the part of T at the
+    primes of m2 cyclic of order m2.  That part sits wholly in the largest
+    invariant factor, so this is the Smith diagonal modulo m1 alone, with
+    its last entry times m2."""
+    diag = intlinalg.smith_diagonal(A, m1)
+    if diag:
+        diag[-1] *= m2
+    return AbelianGroupStructure(tuple(d for d in diag if d > 1))
 
 
 def pic0_structure(g) -> AbelianGroupStructure:
     """Invariant factors of degree-0 divisors modulo principal divisors.
 
-    The Jacobian is the cokernel of the reduced Laplacian L_r, whose order
-    |det L_r| is a multiple of its exponent, so it serves as the modulus.
+    The Jacobian is the cokernel of the reduced Laplacian L_r, of order
+    m = |det L_r|.  `intlinalg.cyclic_split` writes m = m1 * m2 with the
+    part of order m2 cyclic, so the Smith elimination runs modulo m1 only,
+    and not at all when m1 = 1.
     """
     Lr, _ = reduced_laplacian(g)
-    return _structure(Lr, abs(intlinalg.det(Lr)))
+    m, m1 = intlinalg.cyclic_split(Lr)
+    return _structure(Lr, m1, m // m1)
 
 
 def picb0_structure(g) -> AbelianGroupStructure:
@@ -50,15 +57,18 @@ def picb0_structure(g) -> AbelianGroupStructure:
     and a -> (w(v) a_v) maps the kernel of the per-component weighted
     degree onto the balanced degree-0 divisors, so the balanced Jacobian is
     the torsion of the cokernel of W^-1 L, whose root columns are redundant.
-    It is a subgroup of the Jacobian, so |det L_r|, the Jacobian's order,
-    is a multiple of its exponent too.
+    It is a subgroup of the Jacobian, of order m = m1 * m2 as in
+    `pic0_structure`, so its exponent divides m, and its part at the
+    primes of m2 is a subgroup of a cyclic group: cyclic, of order
+    gcd(|Picb0|, m2).
     """
     require_pleasant(g, "the balanced Jacobian")
     Lr, keep = reduced_laplacian(g)
-    m = abs(intlinalg.det(Lr))
+    m, m1 = intlinalg.cyclic_split(Lr)
     L = g.laplacian_matrix()
     return _structure([[L[i][j] // g.vertex_weight[v] for j in keep]
-                       for i, v in enumerate(g.vertices)], m)
+                       for i, v in enumerate(g.vertices)],
+                      m1, math.gcd(_balanced_order(g, m), m // m1))
 
 
 def _balanced_deg0_generators(g):
@@ -79,13 +89,19 @@ def count_picb0(g) -> int:
     """Closed-form count of the balanced Jacobian: |Pic0| times, per
     component, the gcd of its vertex weights over their product."""
     require_pleasant(g, "the balanced count")
+    return _balanced_order(g, count_pic0(g))
+
+
+def _balanced_order(g, m):
+    """|Picb0| of a pleasant graph from m = |Pic0|, by `count_picb0`'s
+    closed form."""
     gcds = math.prod(math.gcd(*(g.vertex_weight[v] for v in comp))
                      for comp in g.components())
-    val = Fraction(gcds * count_pic0(g), math.prod(g.vertex_weight.values()))
-    if val.denominator != 1:
+    order, rest = divmod(gcds * m, math.prod(g.vertex_weight.values()))
+    if rest:
         raise InternalError(
             "balanced count came out non-integral; input was not pleasant")
-    return int(val)
+    return order
 
 
 def enumerate_coset_representatives_bruteforce(g, balanced_only=False,

@@ -3,9 +3,10 @@
 One pass over the exhaustive small-graph family cross-validates the
 tree-sum count (kept here as an oracle; the library counts by
 determinant), the Bareiss determinant, the group structures (Smith
-diagonals modulo the determinant of the reduced Laplacian, whose largest
-invariant factors must equal the exponents that the brute-force leg's
-exact inverse gives), the brute-force coset enumeration, the
+diagonals modulo the non-cyclic part of the determinant of the reduced
+Laplacian, with the cyclic rest in the largest invariant factor, which
+must equal the exponents that the brute-force leg's exact inverse
+gives), the brute-force coset enumeration, the
 sub-weighted-tree completeness, the hat-graph correspondence, the rewrite
 invariances, and the torsor axioms.  The CLI `selfcheck` command and the
 acceptance tests both run through here.
@@ -200,9 +201,10 @@ def sweep_family(family) -> dict:
             bad("matrix-tree", g, "quotient |Pic0|/|Picb0| != prod(w)/gcd(w)")
         # the two closures share one system of their own, an exact inverse
         # of the Laplacian; the reducer below factors it again itself.  The
-        # structures above take |det| as their Smith modulus, so a diagonal
-        # of the modulus and 1s would match every order; their largest
-        # invariant factors must match this system's exponents too
+        # structures above put the part of |det| that their minors call
+        # cyclic wholly in the largest invariant factor, so calling every
+        # prime cyclic would match every order; their largest invariant
+        # factors must match this system's exponents too
         bfs_system = LaplacianSystem(g)
         reps = picard.enumerate_coset_representatives_bruteforce(
             g, system=bfs_system)

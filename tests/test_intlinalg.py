@@ -70,6 +70,41 @@ def test_snf_matches_sympy(A, m):
         assert intlinalg.smith_diagonal(A, m * exponent) == want
 
 
+def _unimodular(rng, n):
+    """The identity under 3n random row additions, multipliers -2..2."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        U[i] = [a + k * b for a, b in zip(U[i], U[j])]
+    return U
+
+
+def test_snf_splits_moduli_of_small_and_large_primes(monkeypatch):
+    # U D V with D holding 1009 * 1013, 1009^2 and 2 * 1009 has no entry
+    # whose gcd with such a modulus divides every other entry, so the
+    # elimination must split the modulus into coprime parts
+    splits = []
+    split = intlinalg.coprime_split
+    monkeypatch.setattr(intlinalg, "coprime_split",
+                        lambda m, c: splits.append(m) or split(m, c))
+    rng = random.Random(21)
+    for _ in range(30):
+        n = rng.randint(3, 5)
+        D = [1009 * 1013, 1009 ** 2, 2 * 1009] + [rng.choice((1, 2, 3, 6))
+                                                 for _ in range(n - 3)]
+        rng.shuffle(D)
+        U, V = _unimodular(rng, n), _unimodular(rng, n)
+        A = [[sum(U[i][k] * D[k] * V[k][j] for k in range(n))
+              for j in range(n)] for i in range(n)]
+        want = _sympy_diagonal(A)
+        for m in (2 * 1009 * 1013, 6 * 1009 ** 2 * 1013,
+                  12 * 1009 * 1013 ** 2, want[-1], 30 * want[-1]):
+            assert intlinalg.smith_diagonal(A, m) == [math.gcd(s, m)
+                                                      for s in want]
+    assert len(splits) >= 30
+
+
 @given(square_matrices, st.lists(st.integers(-5, 5), min_size=5, max_size=5))
 @settings(max_examples=100, deadline=None)
 def test_solve_is_sound(A, x):

@@ -3,6 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy import ZZ
+from sympy.matrices.normalforms import invariant_factors as sympy_invariants
 
 from chipfire import (Divisor, LaplacianSystem, PreconditionError,
                       WeightedMultigraph, count_pic0, count_picb0, equivalent,
@@ -11,6 +14,7 @@ from chipfire.divisors import reduced_laplacian
 from chipfire.picard import enumerate_coset_representatives_bruteforce
 from chipfire import intlinalg
 from chipfire.selfcheck import tree_sum
+from test_bernardi import _random_pleasant as _looped_pleasant
 
 
 def test_pic0_structure(triangle, tw):
@@ -215,6 +219,25 @@ def _inverse_oracle_structures(g):
          for i, v in enumerate(g.vertices)]
     return tuple(tuple(d for d in intlinalg.smith_diagonal(A, e) if d > 1)
                  for A in (Lr, B))
+
+
+def test_structures_match_sympy_invariant_factors():
+    # one loop per graph, one or two components, n up to 12: the Smith
+    # forms over the integers of L_r and of W^-1 L without root columns
+    rng = random.Random(21)
+    for n in range(2, 13):
+        for parts in (1, 2):
+            for _ in range(2 if n >= 2 * parts else 0):
+                g = _looped_pleasant(rng, n, parts, weights=(1, 1, 2, 3, 6))
+                Lr, keep = reduced_laplacian(g)
+                L = g.laplacian_matrix()
+                B = [[L[i][j] // g.vertex_weight[v] for j in keep]
+                     for i, v in enumerate(g.vertices)]
+                want = tuple(tuple(d for d in map(int, sympy_invariants(
+                                 sympy.Matrix(A), domain=ZZ)) if d > 1)
+                             for A in (Lr, B))
+                assert (pic0_structure(g).invariant_factors,
+                        picb0_structure(g).invariant_factors) == want
 
 
 def _disjoint_sum(g, h):

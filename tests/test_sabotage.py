@@ -1,16 +1,18 @@
 """Named faults, each one monkeypatch of one layer, and the criteria each
-must fail on a small fixed sub-family: the sweep's four, the reference
-tours, the torsor axioms, the index-1 fibers, the divisor properties,
-and tours checked against a walk over the ribbons written here.  A later
-cache or shared computation that makes a leg compare a value with itself
-lets its fault pass, and the test that names it fails."""
+must fail on a small fixed sub-family plus one 4-vertex graph: the
+sweep's four, the reference tours, the torsor axioms, the index-1
+fibers, the divisor properties, and tours checked against a walk over
+the ribbons written here.  A later cache or shared computation that
+makes a leg compare a value with itself lets its fault pass, and the
+test that names it fails."""
 
 import dataclasses
 import random
 
 import pytest
 
-from chipfire import Divisor, WeightedMultigraph, bernardi, picard, selfcheck
+from chipfire import (Divisor, WeightedMultigraph, bernardi, intlinalg,
+                      picard, selfcheck)
 from chipfire.family import pleasant_family
 from chipfire.selfcheck import (check_divisor_properties, check_fig2_tours,
                                 check_index1, check_torsor, sweep_family,
@@ -163,6 +165,23 @@ def _first_heavy_residue_plus_1(original):
     return fault
 
 
+def _every_prime_cyclic(original):
+    # the certificate's minor gcd taken as 1, so each structure is the
+    # modulus followed by 1s: right in order, wrong in shape whenever the
+    # group is not cyclic
+    def fault(A):
+        return original(A)[0], 1
+    return fault
+
+
+def _second_part_dropped(original):
+    # the coprime split keeps its first part only, so a Smith elimination
+    # that splits its modulus goes on modulo that part alone
+    def fault(m, c):
+        return original(m, c)[0], 1
+    return fault
+
+
 FAULTS = [
     pytest.param(bernardi, "_unit_vector", _unit_vector_one_chip_more,
                  {"completeness", "torsor"}, id="unit-vector-one-chip"),
@@ -187,13 +206,36 @@ FAULTS = [
                  {"index1"}, id="component-group-one-short"),
     pytest.param(selfcheck, "unbalancing_class", _first_heavy_residue_plus_1,
                  {"properties"}, id="unbalancing-residue-plus-1"),
+    # only the brute-force leg's exponents see a structure of the right order
+    pytest.param(intlinalg, "cyclic_split", _every_prime_cyclic,
+                 {"matrix-tree"}, id="certificate-calls-every-prime-cyclic"),
+    # the certificate reads only the first part; the Smith eliminations
+    # that split are few on the sub-family and many more on its leafed
+    # graphs, which the invariance leg compares
+    pytest.param(intlinalg, "coprime_split", _second_part_dropped,
+                 {"matrix-tree", "invariance"},
+                 id="coprime-split-keeps-one-part"),
 ]
+
+
+def _k4_one_heavy_vertex():
+    """K4 with w(a) = 2 and weight 2 on a's three edges.  Its reduced
+    Laplacian is 3 x 3, so Bareiss divides by a pivot other than 1 and
+    the certificate's minors lie past the first row.  Pic0 = Z/5 + Z/10
+    and Picb0 = Z/5 + Z/5 are not cyclic at 5, which divides every 2 x 2
+    minor but not every entry."""
+    return WeightedMultigraph.build(
+        ["a", "b", "c", "d"],
+        [("ab", ("a", "b")), ("ac", ("a", "c")), ("ad", ("a", "d")),
+         ("bc", ("b", "c")), ("bd", ("b", "d")), ("cd", ("c", "d"))],
+        {"a": 2}, {"ab": 2, "ac": 2, "ad": 2})
 
 
 @pytest.fixture(scope="module")
 def family():
-    # 1,774 graphs; a sweep takes about 3 s
-    return list(pleasant_family(max_vertices=3, max_edges=4, max_weight=3))
+    # 1,775 graphs; a sweep takes about 3 s
+    return [*pleasant_family(max_vertices=3, max_edges=4, max_weight=3),
+            _k4_one_heavy_vertex()]
 
 
 def _failed(family):
@@ -216,7 +258,7 @@ def test_the_reference_walk_sees_loops_parallels_and_two_components():
 
 
 def test_the_clean_sub_family_passes_every_criterion(family):
-    assert len(family) == 1774
+    assert len(family) == 1775
     assert _failed(family) == set()
 
 

@@ -3,6 +3,7 @@ public API."""
 
 import contextlib
 import io
+import json
 import runpy
 import subprocess
 import sys
@@ -51,3 +52,21 @@ def test_cli_digest_matches_its_golden_file():
     assert not differ, (f"{len(differ)} ops differ; the first is index "
                         f"{differ[0][0]}, kind {differ[0][1]}")
     assert len(got) == len(want) == 1620
+
+
+def test_structure_curve_smallest_rung(tmp_path):
+    # n = 40 only, this checkout against itself: one process per point
+    out = tmp_path / "bench.json"
+    out.write_text('{"kept": 1}', encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "structure_curve.py"), "--sizes", "40",
+         "--repeats", "1", "--out", str(out)],
+        capture_output=True, text=True, check=False, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    points = doc["structure_curve"]["points"]
+    assert doc["kept"] == 1
+    assert [(p["n"], p["structure"]) for p in points] == \
+        [(40, "pic0_structure"), (40, "picb0_structure")]
+    assert all(p["agree"] and p["parent_s"] > 0 and p["change_s"] > 0
+               and p["invariant_factors"] > 1 for p in points)
