@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from chipfire import WeightedMultigraph, serialize
+from chipfire import WeightedMultigraph, picard, serialize
 from chipfire.cli import main
+from chipfire.errors import InternalError
 
 TW_OBJ = {
     "vertices": [{"id": "v1", "weight": 2}, {"id": "v2", "weight": 1},
@@ -624,3 +625,34 @@ def test_selfcheck_with_no_edges_sweeps_the_one_vertex_graphs(capsys):
                         "--max-edges", "0")
     assert code == 0 and "FAIL" not in out
     assert "matrix-tree sweep" in out and "[3 graphs]" in out
+
+
+SELFCHECK_GOLDEN = Path(__file__).resolve().parent / "data" / "selfcheck_v3_e4.txt"
+
+
+def test_selfcheck_matches_its_golden_file(capsys):
+    """`chipfire selfcheck --max-vertices 3 --max-edges 4` (1,774 graphs,
+    about 3 s) against `tests/data/selfcheck_v3_e4.txt`, line by line.
+
+    A change that alters selfcheck's stdout on purpose regenerates the file
+    (`chipfire selfcheck --max-vertices 3 --max-edges 4 >
+    tests/data/selfcheck_v3_e4.txt`) and says why in CHANGES.md."""
+    code, out, err = _run(capsys, "selfcheck", "--max-vertices", "3",
+                          "--max-edges", "4")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == SELFCHECK_GOLDEN.read_text(
+        encoding="utf-8").splitlines()
+
+
+def test_selfcheck_prints_a_check_that_raises_as_its_failure(capsys,
+                                                             monkeypatch):
+    def fault(g):
+        raise InternalError("no structure")
+    monkeypatch.setattr(picard, "picb0_structure", fault)
+    code, out, err = _run(capsys, "selfcheck", "--max-vertices", "1",
+                          "--max-edges", "0")
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL  matrix-tree sweep: tree sum = determinant = Smith order = "
+        "brute-force count (plain and balanced)  "
+        "[3 failures, first: raised InternalError: no structure]"]

@@ -1,5 +1,5 @@
 """Named faults, each one monkeypatch of one layer, and the criteria each
-must fail on a small fixed sub-family plus one 4-vertex graph: the
+must fail on a small fixed sub-family plus two fixed graphs: the
 sweep's four, the reference tours, the torsor axioms, the index-1
 fibers, the divisor properties, and tours checked against a walk over
 the ribbons written here.  A later cache or shared computation that
@@ -7,12 +7,14 @@ makes a leg compare a value with itself lets its fault pass, and the
 test that names it fails."""
 
 import dataclasses
+import math
 import random
 
 import pytest
 
 from chipfire import (Divisor, WeightedMultigraph, bernardi, intlinalg,
                       picard, selfcheck)
+from chipfire.errors import InternalError
 from chipfire.family import pleasant_family
 from chipfire.selfcheck import (check_divisor_properties, check_fig2_tours,
                                 check_index1, check_torsor, sweep_family,
@@ -104,6 +106,21 @@ def _crt_shifted(original):
     return fault
 
 
+def _crt_floor_divided(original):
+    # the joint solution divided by lcm(m, n) where it should be reduced
+    # modulo it; a first congruence (m = 1) is still taken as it is
+    def fault(a, m, b, n):
+        if m == 1:
+            return original(a, m, b, n)
+        d = math.gcd(m, n)
+        if (b - a) % d:
+            return None
+        k = (b - a) // d * pow(m // d, -1, n // d) % (n // d)
+        lcm = m // d * n
+        return (a + m * k) // lcm, lcm
+    return fault
+
+
 def _hat_sigma_reversed(original):
     # sigma read as w + 1 - sigma on the forest edges of every hat pair
     def fault(g, hat):
@@ -174,6 +191,15 @@ def _every_prime_cyclic(original):
     return fault
 
 
+def _raises_on_a_heavy_vertex(original):
+    # an internal error on every graph with a vertex of weight > 1
+    def fault(g):
+        if any(w > 1 for w in g.vertex_weight.values()):
+            raise InternalError("sabotaged balanced structure")
+        return original(g)
+    return fault
+
+
 def _second_part_dropped(original):
     # the coprime split keeps its first part only, so a Smith elimination
     # that splits its modulus goes on modulo that part alone
@@ -187,6 +213,10 @@ FAULTS = [
                  {"completeness", "torsor"}, id="unit-vector-one-chip"),
     pytest.param(bernardi, "_crt", _crt_shifted, {"completeness", "torsor"},
                  id="crt-residue-plus-1"),
+    # only the path with w = 1, 2, 3 closes a congruence at both ends of
+    # one edge, the one case where the walk joins two moduli
+    pytest.param(bernardi, "_crt", _crt_floor_divided, {"completeness"},
+                 id="crt-divides-by-lcm"),
     pytest.param(bernardi, "hat_pairs", _hat_sigma_reversed, {"hat"},
                  id="hat-sigma-reversed"),
     pytest.param(picard, "_balanced_deg0_generators", _last_generator_dropped,
@@ -215,6 +245,10 @@ FAULTS = [
     pytest.param(intlinalg, "coprime_split", _second_part_dropped,
                  {"matrix-tree", "invariance"},
                  id="coprime-split-keeps-one-part"),
+    # a raise is one failure of the leg that raised, and ends that graph's
+    # later legs, which read its values
+    pytest.param(picard, "picb0_structure", _raises_on_a_heavy_vertex,
+                 {"matrix-tree"}, id="picb0-structure-raises"),
 ]
 
 
@@ -231,11 +265,21 @@ def _k4_one_heavy_vertex():
         {"a": 2}, {"ab": 2, "ac": 2, "ad": 2})
 
 
+def _path_with_weights_1_2_3():
+    """The path a - b - c with w(b) = 2, w(c) = 3 and edge weights 2 and 6.
+    Edge bc is the last forest edge at both of its ends, so the balanced
+    walk closes b's congruence and c's on it at once, and `_crt` joins the
+    moduli 2 and 3; no graph of the sub-family reaches that branch."""
+    return WeightedMultigraph.build(
+        ["a", "b", "c"], [("ab", ("a", "b")), ("bc", ("b", "c"))],
+        {"b": 2, "c": 3}, {"ab": 2, "bc": 6})
+
+
 @pytest.fixture(scope="module")
 def family():
-    # 1,775 graphs; a sweep takes about 3 s
+    # 1,776 graphs; a sweep takes about 3 s
     return [*pleasant_family(max_vertices=3, max_edges=4, max_weight=3),
-            _k4_one_heavy_vertex()]
+            _k4_one_heavy_vertex(), _path_with_weights_1_2_3()]
 
 
 def _failed(family):
@@ -258,7 +302,7 @@ def test_the_reference_walk_sees_loops_parallels_and_two_components():
 
 
 def test_the_clean_sub_family_passes_every_criterion(family):
-    assert len(family) == 1775
+    assert len(family) == 1776
     assert _failed(family) == set()
 
 
