@@ -118,6 +118,16 @@ def gcd_basis(w):
     return cols
 
 
+def _symmetric(M, n):
+    """Whether the leading n x n block of M is symmetric."""
+    for i in range(1, n):
+        row = M[i]
+        for j in range(i):
+            if row[j] != M[j][i]:
+                return False
+    return True
+
+
 def _eliminate(M, n):
     """Bareiss forward elimination, in place, on the n rows of M, which may
     carry extra columns after the first n; returns det(A), with A the
@@ -127,15 +137,31 @@ def _eliminate(M, n):
     upper triangular on and above the diagonal, every entry a minor of the
     input, and U y = t c of the result is equivalent to the input system
     for any scalar t.  Entries below the diagonal are left stale.
+
+    When A is symmetric, as every reduced Laplacian is, each Schur
+    complement that the steps leave in the active block is symmetric too,
+    so row i at step k updates only columns i onwards (the upper triangle
+    and the extra columns), about half the work.  Its multiplier is read
+    from the pivot row: M[k][i] equals M[i][k], which this path leaves
+    stale.  Every entry it keeps is computed from the same values as on
+    the general path, so it is the same minor.  A zero pivot on that path
+    first copies the active block's upper triangle into its lower part;
+    the row swap then breaks the symmetry, and the general path takes
+    over.
     """
     if n == 0:
         return 1
+    sym = _symmetric(M, n)
     sign = 1
     prev = 1
     for k in range(n - 1):
         pivot_row = M[k]
         pivot = pivot_row[k]
         if not pivot:
+            if sym:
+                for i in range(k + 1, n):
+                    M[i][k:i] = [M[j][i] for j in range(k, i)]
+                sym = False
             p = next((i for i in range(k + 1, n) if M[i][k]), None)
             if p is None:
                 return 0
@@ -143,10 +169,13 @@ def _eliminate(M, n):
             sign = -sign
             pivot_row = M[k]
             pivot = pivot_row[k]
-        cols = range(k + 1, len(pivot_row))
+        width = len(pivot_row)
         for i in range(k + 1, n):
             row = M[i]
-            f = row[k]
+            if sym:
+                f, cols = pivot_row[i], range(i, width)
+            else:
+                f, cols = row[k], range(k + 1, width)
             if f:
                 for j in cols:
                     row[j] = (pivot * row[j] - f * pivot_row[j]) // prev

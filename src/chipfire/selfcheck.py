@@ -84,53 +84,60 @@ def tree_sum(g) -> int:
 
 
 def check_triangle_example() -> CheckResult:
-    g = triangle_tw()
-    roots, starts = tw_roots()
-    per_tree = []
-    balanced_all = []
-    nontrivial_balanced = 0
-    for T in trees.enumerate_trees(g):
-        subs = bernardi.enumerate_subweightings(g, T, roots=roots, starts=starts)
-        bal = bernardi.enumerate_subweightings(g, T, balanced_only=True,
-                                               roots=roots, starts=starts)
-        per_tree.append(len(subs))
-        balanced_all.extend(bal)
-        for ts in bal:
-            if any(ts.sigma[e] != g.edge_weight[e] for e in ts.forest_edges):
-                nontrivial_balanced += 1
-    ok = (sorted(per_tree, reverse=True) == [4, 2, 2]
-          and sum(per_tree) == 8
-          and len(balanced_all) == 4
-          and nontrivial_balanced == 1)
-    return CheckResult("triangle example: 8 = 4+2+2 sub-weightings, 4 balanced, "
-                       "one nontrivial", ok,
-                       f"per-tree {per_tree}, balanced {len(balanced_all)}, "
-                       f"nontrivial {nontrivial_balanced}")
+    def example():
+        g = triangle_tw()
+        roots, starts = tw_roots()
+        per_tree = []
+        balanced_all = []
+        nontrivial_balanced = 0
+        for T in trees.enumerate_trees(g):
+            subs = bernardi.enumerate_subweightings(g, T, roots=roots,
+                                                    starts=starts)
+            bal = bernardi.enumerate_subweightings(g, T, balanced_only=True,
+                                                   roots=roots, starts=starts)
+            per_tree.append(len(subs))
+            balanced_all.extend(bal)
+            for ts in bal:
+                if any(ts.sigma[e] != g.edge_weight[e] for e in ts.forest_edges):
+                    nontrivial_balanced += 1
+        ok = (sorted(per_tree, reverse=True) == [4, 2, 2]
+              and sum(per_tree) == 8
+              and len(balanced_all) == 4
+              and nontrivial_balanced == 1)
+        return ok, (f"per-tree {per_tree}, balanced {len(balanced_all)}, "
+                    f"nontrivial {nontrivial_balanced}")
+
+    return _example("triangle example: 8 = 4+2+2 sub-weightings, 4 balanced, "
+                    "one nontrivial", example)
 
 
 def check_laplacian_example() -> CheckResult:
-    g = fig1_left()
-    D = laplacian(g, {"v1": 0, "v2": 0, "v3": 1})
-    ok = D.vector(g) == [-2, -3, 5]
-    return CheckResult("weighted Laplacian at the v3 indicator is (-2,-3,5)",
-                       ok, str(D.vector(g)))
+    def example():
+        g = fig1_left()
+        vec = laplacian(g, {"v1": 0, "v2": 0, "v3": 1}).vector(g)
+        return vec == [-2, -3, 5], str(vec)
+
+    return _example("weighted Laplacian at the v3 indicator is (-2,-3,5)",
+                    example)
 
 
 def check_fig2_tours() -> CheckResult:
-    g = unweighted_triangle()
-    want = [
-        (("a", "b"), {"a": ("v2", "v1"), "b": ("v1", "v3"), "c": ("v2", "v3")}),
-        (("a", "c"), {"a": ("v2", "v1"), "b": ("v3", "v1"), "c": ("v2", "v3")}),
-        (("b", "c"), {"a": ("v1", "v2"), "b": ("v3", "v1"), "c": ("v2", "v3")}),
-    ]
-    got = []
-    ok = True
-    for T, expected in want:
-        orient = bernardi.tour_forest(g, T, roots=("v2",), starts={"v2": "a"})
-        got.append(orient)
-        ok = ok and orient == expected
-    return CheckResult("triangle tours from v2 match the three reference "
-                       "orientations", ok, str(got))
+    def example():
+        g = unweighted_triangle()
+        want = [
+            (("a", "b"), {"a": ("v2", "v1"), "b": ("v1", "v3"),
+                          "c": ("v2", "v3")}),
+            (("a", "c"), {"a": ("v2", "v1"), "b": ("v3", "v1"),
+                          "c": ("v2", "v3")}),
+            (("b", "c"), {"a": ("v1", "v2"), "b": ("v3", "v1"),
+                          "c": ("v2", "v3")}),
+        ]
+        got = [bernardi.tour_forest(g, T, roots=("v2",), starts={"v2": "a"})
+               for T, _ in want]
+        return got == [expected for _, expected in want], str(got)
+
+    return _example("triangle tours from v2 match the three reference "
+                    "orientations", example)
 
 
 # -- one failure path ------------------------------------------------------
@@ -158,14 +165,31 @@ def _result(title, failures, detail) -> CheckResult:
     return CheckResult(title, not failures, detail)
 
 
+def _example(title, example) -> CheckResult:
+    """The result of a single-example check: `example()` gives (ok,
+    detail), the detail of a pass or else its one failure, and runs through
+    the guard like the family checks."""
+    shown = []
+
+    def check():
+        ok, detail = example()
+        shown.append(detail)
+        if not ok:
+            yield detail
+
+    return _result(title, _guard(check)[0], "".join(shown))
+
+
 # -- one-pass family sweep -------------------------------------------------
 # Four legs per graph.  A leg keeps in `at` the values that the later legs
-# read, so a leg that raises ends its graph's later legs.
+# read, so a leg that raises ends its graph's later legs; each leg reports
+# the graphs it ran on.
 
 
 @dataclass
 class SweepStats:
     graphs: int = 0
+    leg_graphs: Counter = field(default_factory=Counter)  # leg name -> graphs
     skipped_unit_leaf: int = 0
     shrink_checks: int = 0
     vertex_split_checks: int = 0
@@ -361,6 +385,7 @@ def sweep_family(family) -> dict:
         stats.graphs += 1
         at = SimpleNamespace()
         for name, leg, _ in _SWEEP:
+            stats.leg_graphs[name] += 1
             found, raised = _guard(leg, g, at, stats)
             stats.failures += [(name, g, msg) for msg in found]
             if raised:
@@ -375,7 +400,7 @@ def sweep_family(family) -> dict:
 
     results = {}
     for name, _, title in _SWEEP:
-        detail = f"{stats.graphs} graphs"
+        detail = f"{stats.leg_graphs[name]} graphs"
         if name == "invariance":
             detail += (f", {stats.shrink_checks} shrinks, "
                        f"{stats.vertex_split_checks} vertex splits")

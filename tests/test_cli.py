@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from chipfire import WeightedMultigraph, picard, serialize
+from chipfire import WeightedMultigraph, bernardi, picard, serialize
 from chipfire.cli import main
 from chipfire.errors import InternalError
 
@@ -656,3 +656,20 @@ def test_selfcheck_prints_a_check_that_raises_as_its_failure(capsys,
         "FAIL  matrix-tree sweep: tree sum = determinant = Smith order = "
         "brute-force count (plain and balanced)  "
         "[3 failures, first: raised InternalError: no structure]"]
+    # the raise ends each graph's later legs, which report no graph
+    lines = out.splitlines()
+    assert [line[line.rindex("["):] for line in lines[4:7]] == [
+        "[0 graphs]", "[0 graphs]", "[0 graphs, 0 shrinks, 0 vertex splits]"]
+
+
+def test_selfcheck_prints_a_single_example_that_raises_as_its_failure(
+        capsys, monkeypatch):
+    def fault(*args, **kwargs):
+        raise InternalError("no tour")
+    monkeypatch.setattr(bernardi, "tour_forest", fault)
+    code, out, err = _run(capsys, "selfcheck", "--max-vertices", "1",
+                          "--max-edges", "0")
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL  triangle tours from v2 match the three reference orientations  "
+        "[1 failures, first: raised InternalError: no tour]"]

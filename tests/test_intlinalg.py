@@ -21,6 +21,27 @@ square_matrices = st.integers(1, 5).flatmap(
     lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
                        min_size=n, max_size=n))
 
+
+def _mirrored(n, upper):
+    """The symmetric n x n matrix whose upper triangle, row by row, is
+    `upper`."""
+    A = [[0] * n for _ in range(n)]
+    it = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            A[i][j] = A[j][i] = next(it)
+    return A
+
+
+# symmetric matrices, what every production caller passes; small
+# entries, zero and negative diagonals included, so zero pivots and the
+# mirror before a row swap come up often
+symmetric_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.integers(-3, 3), min_size=n * (n + 1) // 2,
+                       max_size=n * (n + 1) // 2).map(
+        lambda upper: _mirrored(n, upper)))
+
+
 def _sympy_diagonal(A):
     """Nonnegative Smith diagonal of A, min(rows, cols) entries long."""
     diag = [abs(int(x)) for x in sympy_snf(sympy.Matrix(A), domain=ZZ).diagonal()]
@@ -215,3 +236,38 @@ def test_random_weighted_laplacians():
         if n <= 12:
             want = [int(d) for d in sympy_invariants(sympy.Matrix(Lr), domain=ZZ)]
             assert [d for d in diag if d > 1] == [d for d in want if d > 1]
+
+
+@given(symmetric_matrices, st.lists(st.integers(-9, 9), min_size=6,
+                                    max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_symmetric_elimination_matches_sympy(A, b):
+    n = len(A)
+    d = sympy.Matrix(A).det()
+    assert intlinalg.det(A) == d
+    if d == 0:
+        with pytest.raises(ValueError):
+            intlinalg.cyclic_split(A)
+        return
+    y, got_d = intlinalg.solve(A, b[:n])
+    assert got_d == d and _matvec(A, y) == [d * c for c in b[:n]]
+    # a prime that cyclic_split calls cyclic misses some (n-1)-minor
+    m, m1 = intlinalg.cyclic_split(A)
+    minors = math.gcd(*(int(x) for x in sympy.Matrix(A).adjugate()))
+    assert m == abs(d) and m % m1 == 0
+    assert math.gcd(m // m1, minors) == 1
+
+
+def test_symmetric_elimination_through_a_zero_pivot():
+    # a first pivot of 0, [[0, 1], [1, 0]], is in
+    # test_det_of_empty_and_singular_matrices; here the second pivot is 0
+    # after one symmetric step, so the active block is mirrored and swapped
+    assert intlinalg.det([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == -1
+    y, d = intlinalg.solve([[1, 1, 0], [1, 1, 1], [0, 1, 1]], [1, 2, 3])
+    assert d == -1 and y == [1, -2, -1]
+    # here the entry that the swap looks for is 0 before the mirror and -1
+    # after it
+    assert intlinalg.det([[1, 1, 1], [1, 1, 0], [1, 0, 0]]) == -1
+    # the reduced Laplacian of two disjoint edges, ab and cd
+    L = [[1, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]]
+    assert intlinalg.det([row[1:] for row in L[1:]]) == 0

@@ -208,6 +208,41 @@ def _second_part_dropped(original):
     return fault
 
 
+def _stale_symmetric_multiplier(original):
+    # `intlinalg._eliminate` with the symmetric path's multiplier read from
+    # the row's own entry in the pivot column, which that path leaves at its
+    # input value; right at the first step, wrong from the second on
+    def fault(M, n):
+        if n == 0:
+            return 1
+        sym = intlinalg._symmetric(M, n)
+        sign = 1
+        prev = 1
+        for k in range(n - 1):
+            pivot_row = M[k]
+            pivot = pivot_row[k]
+            if not pivot:
+                if sym:
+                    for i in range(k + 1, n):
+                        M[i][k:i] = [M[j][i] for j in range(k, i)]
+                    sym = False
+                p = next((i for i in range(k + 1, n) if M[i][k]), None)
+                if p is None:
+                    return 0
+                M[k], M[p] = M[p], M[k]
+                sign = -sign
+                pivot_row = M[k]
+                pivot = pivot_row[k]
+            for i in range(k + 1, n):
+                row = M[i]
+                f = row[k]
+                for j in range(i if sym else k + 1, len(pivot_row)):
+                    row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+            prev = pivot
+        return sign * M[n - 1][n - 1]
+    return fault
+
+
 FAULTS = [
     pytest.param(bernardi, "_unit_vector", _unit_vector_one_chip_more,
                  {"completeness", "torsor"}, id="unit-vector-one-chip"),
@@ -249,6 +284,12 @@ FAULTS = [
     # later legs, which read its values
     pytest.param(picard, "picb0_structure", _raises_on_a_heavy_vertex,
                  {"matrix-tree"}, id="picb0-structure-raises"),
+    # a stale multiplier needs a second step, so a reduced Laplacian of
+    # size 3 or more: K4's, and those of the leafed 3-vertex graphs that
+    # the invariance leg compares
+    pytest.param(intlinalg, "_eliminate", _stale_symmetric_multiplier,
+                 {"matrix-tree", "invariance"},
+                 id="symmetric-bareiss-stale-multiplier"),
 ]
 
 
