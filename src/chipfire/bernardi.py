@@ -20,7 +20,7 @@ from .divisors import (Divisor, LaplacianSystem, check_on_graph, degree,
                        equivalent, require_pleasant)
 from .errors import GraphInputError, InternalError, PreconditionError
 from .graphs import component_genera, is_int
-from .trees import enumerate_forests, is_maximal_forest
+from .trees import enumerate_forests, is_maximal_forest, iter_forests
 
 
 def resolve_roots(g, roots=None, starts=None):
@@ -312,15 +312,166 @@ def enumerate_subweightings(g, T, balanced_only=False, roots=None, starts=None):
                                        balanced_only)]
 
 
+def _unit_residues(g, system):
+    """The key part X e_v mod e of each vertex's unit divisor, in vertex
+    order: column v of X, and zeros at a root."""
+    e = system.e
+    zero = (0,) * len(system.X)
+    unit = [zero] * g.n
+    for c, i in enumerate(system.keep):
+        unit[i] = tuple([row[c] % e for row in system.X])
+    return unit
+
+
+class _PackedResidues:
+    """Vectors of k residues mod e packed into one int, `width` bits per
+    coordinate, wide enough for a sum of `terms` reduced vectors.
+
+    `add` of two reduced vectors is one int addition and a correction that
+    subtracts e from every coordinate that reached e, found from the top
+    bit of each coordinate after adding 2^(width-1) - e to it, with no
+    carry between coordinates; so a step of a walk costs a few int
+    operations, not one per coordinate.
+    """
+
+    def __init__(self, k, e, terms=2):
+        self.k, self.e = k, e
+        self.width = width = (terms * e).bit_length() + 1
+        ones = sum(1 << (width * i) for i in range(k))
+        self.high = ones << (width - 1)
+        self.bias = ((1 << (width - 1)) - e) * ones
+        self.full = e * ones
+        self.mask = (1 << width) - 1
+
+    def pack(self, vec):
+        """The packed vector of ints, each coordinate reduced mod e."""
+        e, width = self.e, self.width
+        return sum((c % e) << (width * i) for i, c in enumerate(vec))
+
+    def unpack(self, x):
+        return [(x >> (self.width * i)) & self.mask for i in range(self.k)]
+
+    def canonical(self, x):
+        """x, a sum of at most `terms` reduced vectors, reduced."""
+        return self.pack(self.unpack(x))
+
+    def add(self, x, y):
+        s = x + y
+        return s - (((s + self.bias) & self.high) >> (self.width - 1)) * self.e
+
+    def neg(self, x):
+        return self.add(self.full - x, 0)
+
+
+def _box_offsets(steps, sizes, want, packed):
+    """Offsets c with 0 <= c_j < sizes[j] and sum_j c_j steps[j] = want,
+    as vectors packed by `packed`, or None when there are none.
+
+    Meet in the middle (Shanks' baby step, giant step): the sums of one
+    half of the box's coordinates go into a dict, and each combination of
+    the other half looks up want minus its own sum, so time and memory
+    grow with the square root of the box, not with the box.  A coordinate
+    larger than that root (at most one can be) is split as c = q b + r,
+    r in the dict's half and q in the other; a hit with q b + r >= size
+    is no solution.  The dict's half is listed with r slowest and keeps
+    the first of equal sums, the one of least r, so a solution is missed
+    only when there is none.
+    """
+    box = math.prod(sizes)
+    baby, giant, split, product = [], [], [], 1
+    for j, w in enumerate(sizes):
+        if w * w > box:
+            b = math.isqrt(w * w // box)
+            giant.append((j, b, -(-w // b)))
+            split.append((j, 1, b))
+        elif w > 1 and product * product < box:
+            baby.append((j, 1, w))
+            product *= w
+        elif w > 1:
+            giant.append((j, 1, w))
+    baby += split  # r varies slowest
+    e, high, bias, shift = packed.e, packed.high, packed.bias, packed.width - 1
+
+    def sums(dims, start, negate):
+        # the first dim varies fastest; each block is the one before plus
+        # step, by `packed.add` written out
+        out = [start]
+        for j, mult, size in dims:
+            step = steps[j] if mult == 1 else packed.pack(
+                [mult * c for c in packed.unpack(steps[j])])
+            if negate:
+                step = packed.neg(step)
+            block = out
+            for _ in range(size - 1):
+                block = [s - (((s + bias) & high) >> shift) * e
+                         for s in map(step.__add__, block)]
+                out += block
+        return out
+
+    baby_sums = sums(baby, 0, False)
+    # the first index of each sum
+    table = dict(zip(reversed(baby_sums), range(len(baby_sums) - 1, -1, -1)))
+    for k, x in enumerate(sums(giant, want, True)):
+        if x in table:
+            offsets = [0] * len(sizes)
+            for dims, at in ((giant, k), (baby, table[x])):
+                for j, mult, size in dims:
+                    at, digit = divmod(at, size)
+                    offsets[j] += digit * mult
+            if all(map(int.__lt__, offsets, sizes)):
+                return offsets
+    return None
+
+
+def _subweighting_in_class(g, system, starts, vec):
+    """(forest, sigma on the forest) of the sub-weighted maximal forest,
+    toured from resolved starts, whose tree divisor has the key part of
+    the int vector vec (in vertex order), or None.
+
+    The key part is linear, so with U_v the key part of vertex v's unit
+    divisor, an edge oriented tail -> head adds w U_head to the tree
+    divisor's key off the forest and w U_tail + s on it at sigma = 1,
+    where s = U_head - U_tail is what each further unit of sigma adds.
+    Forest by forest, in `enumerate_forests` order, one tour gives these
+    terms and `_box_offsets` solves for sigma - 1 in the forest's box.
+    Distinct sub-weighted forests lie in distinct classes, so the first
+    forest with a solution holds the only one."""
+    unit = _unit_residues(g, system)
+    index = g.vertex_index
+    packed = _PackedResidues(len(system.X), system.e, len(g.edges) + g.n + 1)
+    off, fix, step = {}, {}, {}
+    for e in g.edges:
+        w = g.edge_weight[e.id]
+        for ends in {e.ends, e.ends[::-1]}:
+            tail, head = (unit[index[v]] for v in ends)
+            diff = list(map(sub, head, tail))
+            off[e.id, ends] = packed.pack([-w * c for c in head])
+            fix[e.id, ends] = packed.pack([(w - 1) * c for c in diff])
+            step[e.id, ends] = packed.pack(diff)
+    base = packed.pack(system.vector_key(
+        [c + g.vertex_weight[v] for c, v in zip(vec, g.vertices)])[1])
+    for forest in iter_forests(g):
+        orient = _orient(g, forest, starts)
+        on_forest = list(zip(forest, map(orient.__getitem__, forest)))
+        want = packed.canonical(base + sum(map(off.__getitem__, orient.items()))
+                             + sum(map(fix.__getitem__, on_forest)))
+        offsets = _box_offsets(list(map(step.__getitem__, on_forest)),
+                               list(map(g.edge_weight.__getitem__, forest)),
+                               want, packed)
+        if offsets is not None:
+            return forest, tuple(c + 1 for c in offsets)
+    return None
+
+
 def _keyed_subweightings(g, system, starts):
     """(class key, forest, sigma on the forest) of every sub-weighted
     maximal forest, in (forest, sigma)-lexicographic order, toured from
-    resolved starts.  `system` is g's LaplacianSystem; its key part
-    X D_r mod e is linear in D, and a unit of sigma on a forest edge adds
-    e_head - e_tail to D, so each sub-weighting costs one residue tuple."""
+    resolved starts: the walk that builds `BernardiReducer`'s table, one
+    residue tuple per sub-weighting.  `system` is g's LaplacianSystem; its
+    key part X D_r mod e is linear in D, and a unit of sigma on a forest
+    edge adds e_head - e_tail to D."""
     e = system.e
-    unit = [system.vector_key([int(i == j) for j in range(g.n)])[1]
-            for i in range(g.n)]
+    unit = _unit_residues(g, system)
     index = g.vertex_index
     for forest in enumerate_forests(g):
         orient = _orient(g, forest, starts)
@@ -416,9 +567,11 @@ def reduce(g, D, roots=None, starts=None):
     """The unique sub-weighted forest equivalent to D (roots and starts as
     in `resolve_roots`) and a chip-firing certificate from `equivalent`.
 
-    D may name only vertices of g.  The forest comes from a walk to D's
-    class that holds one forest's keys at a time; the certificate's
-    Laplacian is checked to equal D minus the forest's tree divisor."""
+    D may name only vertices of g.  The forest comes from a walk over the
+    forests that solves each one's box of sigma for D's class by meet in
+    the middle (`_subweighting_in_class`), in time and memory about the
+    square root of the box per forest; the certificate's Laplacian is
+    checked to equal D minus the forest's tree divisor."""
     check_on_graph(g, D)
     roots, starts = resolve_roots(g, roots, starts)
     want = tuple(genus - 1 for genus in component_genera(g))
@@ -429,13 +582,11 @@ def reduce(g, D, roots=None, starts=None):
     if key[0] != want:
         raise PreconditionError(
             "no representative: per-component degrees must equal genus - 1")
-    for k, forest, combo in _keyed_subweightings(g, system, starts):
-        if k == key:
-            break
-    else:
+    found = _subweighting_in_class(g, system, starts, D.vector(g))
+    if found is None:
         raise InternalError("no sub-weighted forest lands in the class of a "
                             "divisor of the right degrees; completeness is violated")
-    ts = _with_sigma(g, forest, combo, roots, starts)
+    ts = _with_sigma(g, *found, roots, starts)
     cert = equivalent(g, D, tree_divisor(g, ts))
     if cert is None:
         raise InternalError("reduction found a representative with no "
@@ -454,8 +605,9 @@ def torsor_act(g, D0, ts: SubweightedTree) -> SubweightedTree:
 
 class BernardiReducer:
     """Table from every class of per-component degree genus - 1 to its
-    sub-weighted forest, from the walk that `reduce` takes: the oracle of
-    the completeness checks in `selfcheck`.  Raises InternalError when two
+    sub-weighted forest, from `_keyed_subweightings`, one key per
+    sub-weighting: the oracle of the completeness checks in `selfcheck`,
+    which shares no walk with `reduce`.  Raises InternalError when two
     sub-weighted forests land in one class."""
 
     def __init__(self, g, roots=None, starts=None):

@@ -94,14 +94,17 @@ def count_picb0(g) -> int:
 
 def _balanced_order(g, m):
     """|Picb0| of a pleasant graph from m = |Pic0|, by `count_picb0`'s
-    closed form."""
+    closed form.  Both callers check pleasantness first, so a count that
+    is not an integer means m is not |Pic0|."""
     gcds = math.prod(math.gcd(*(g.vertex_weight[v] for v in comp))
                      for comp in g.components())
-    order, rest = divmod(gcds * m, math.prod(g.vertex_weight.values()))
-    if rest:
+    ratio = math.prod(g.vertex_weight.values()) // gcds
+    if m % ratio:
         raise InternalError(
-            "balanced count came out non-integral; input was not pleasant")
-    return order
+            f"balanced count came out non-integral: |Pic0| = {m} is not a "
+            f"multiple of prod(w)/gcd(w) = {ratio}, so |Pic0| was computed "
+            "wrongly")
+    return m // ratio
 
 
 def enumerate_coset_representatives_bruteforce(g, balanced_only=False,

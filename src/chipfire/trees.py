@@ -13,16 +13,21 @@ from .graphs import _find
 
 def enumerate_forests(g):
     """All maximal spanning forests as tuples of edge ids."""
+    return list(iter_forests(g))
+
+
+def iter_forests(g):
+    """The forests of `enumerate_forests`, in its order, one at a time."""
     target = g.n - len(g.components())
     candidates = [(eid, a, b) for eid, (a, b) in g.edge_ends.items() if a != b]
-    out = []
     chosen = []
 
     def rec(start, parent, count):
         if count == target:
-            out.append(tuple(chosen))
+            yield tuple(chosen)
             return
-        for k in range(start, len(candidates)):
+        # stop where too few candidates are left to finish a forest
+        for k in range(start, len(candidates) - target + count + 1):
             eid, a, b = candidates[k]
             ra, rb = _find(parent, a), _find(parent, b)
             if ra == rb:
@@ -30,11 +35,10 @@ def enumerate_forests(g):
             child = parent[:]
             child[ra] = rb
             chosen.append(eid)
-            rec(k + 1, child, count + 1)
+            yield from rec(k + 1, child, count + 1)
             chosen.pop()
 
-    rec(0, list(range(g.n)), 0)
-    return out
+    return rec(0, list(range(g.n)), 0)
 
 
 def enumerate_trees(g):

@@ -4,6 +4,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chipfire import bernardi
 from chipfire import (Divisor, GraphInputError, PreconditionError,
@@ -12,9 +14,10 @@ from chipfire import (Divisor, GraphInputError, PreconditionError,
                       expand_hat, is_balanced, is_pleasant, laplacian,
                       orientation_divisor, torsor_act, tour_forest,
                       tree_divisor, weighted_genus)
-from chipfire.bernardi import (BernardiReducer, enumerate_subweightings,
-                               hat_reference_shift, reduce as bernardi_reduce,
-                               resolve_roots)
+from chipfire.bernardi import (BernardiReducer, SubweightedTree,
+                               enumerate_subweightings, hat_reference_shift,
+                               reduce as bernardi_reduce, resolve_roots)
+from chipfire.family import pleasant_family
 
 TW_ROOTS = (("v2",), {"v2": ("a", 1)})
 
@@ -179,7 +182,7 @@ def test_reduce_checks_component_degrees_before_the_walk(tw, monkeypatch):
     roots, starts = (("v1", "u"), None)
     ts = enumerate_subweightings(g, ("a", "b", "d"), roots=roots)[0]
     off = Divisor({"v1": 1, "v2": 0, "v3": -1, "u": 0, "x": 0})
-    monkeypatch.setattr(bernardi, "_keyed_subweightings", None)  # no walk
+    monkeypatch.setattr(bernardi, "_subweighting_in_class", None)  # no walk
     with pytest.raises(PreconditionError, match="genus - 1"):
         bernardi_reduce(g, tree_divisor(g, ts) + Divisor({"v1": 1, "u": -1}),
                         roots, starts)
@@ -424,7 +427,7 @@ def test_per_forest_subweightings_reject_a_forest_that_is_not_maximal(
 
 def test_reduce_memory_does_not_grow_with_the_group():
     # K5 with every edge weight 3 has 10,125 classes; a table of them all
-    # peaks at about 5 MiB, the walk holds one forest's keys at a time
+    # peaks at about 5 MiB, the walk holds one forest's half box at a time
     vs = [f"v{i}" for i in range(5)]
     edges = [(f"{a}{b}", (a, b)) for a, b in itertools.combinations(vs, 2)]
     g = WeightedMultigraph.build(vs, edges, edge_weight={e: 3 for e, _ in edges})
@@ -437,4 +440,97 @@ def test_reduce_memory_does_not_grow_with_the_group():
         tracemalloc.stop()
     assert laplacian(g, cert.potential).vector(g) \
         == (D - tree_divisor(g, ts)).vector(g)
+    assert peak < 2 ** 20
+
+
+def test_reduce_finds_every_tree_of_the_sub_family():
+    # 1,774 graphs, 13,280 classes: reduce and the oracle table share no
+    # walk, so each tree's divisor must lead back to that tree
+    classes = 0
+    for g in pleasant_family(max_vertices=3, max_edges=4, max_weight=3):
+        for ts in BernardiReducer(g).table.values():
+            assert bernardi_reduce(g, tree_divisor(g, ts))[0] == ts
+            classes += 1
+    assert classes == 13280
+
+
+def _with_heavy_edge(rng, parts):
+    """A seeded random pleasant graph in `parts` components with a loop,
+    and one non-loop edge made heavy: weight >= 1,000, still a multiple
+    of the lcm of its ends' weights."""
+    g = _random_pleasant(rng, 5 + parts, parts)
+    heavy = rng.choice([e for e in g.edges if not e.is_loop])
+    unit = math.lcm(*(g.vertex_weight[v] for v in heavy.ends))
+    ew = {**g.edge_weight, heavy.id: unit * rng.randint(1000 // unit + 1, 2000)}
+    return WeightedMultigraph.build(g.vertices, [(e.id, e.ends) for e in g.edges],
+                                    g.vertex_weight, ew, g.ribbon)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reduce_finds_random_trees_with_a_heavy_edge(seed):
+    rng = random.Random(seed)
+    g = _with_heavy_edge(rng, 1 + seed % 2)
+    assert any(w >= 1000 for w in g.edge_weight.values())
+    assert any(e.is_loop for e in g.edges)
+    # a non-default root and start in the last component
+    q = g.components()[-1][-1]
+    roots, starts = (q,), {q: g.ribbon[q][-1]}
+    forests = enumerate_forests(g)
+    for _ in range(20):
+        forest = rng.choice(forests)
+        sigma = {**g.edge_weight,
+                 **{e: rng.randint(1, g.edge_weight[e]) for e in forest}}
+        ts = SubweightedTree.build(g, forest, sigma, roots, starts)
+        got, cert = bernardi_reduce(g, tree_divisor(g, ts), roots, starts)
+        assert got == ts
+        assert all(v == 0 for v in cert.potential.values())
+
+
+@st.composite
+def _boxes(draw):
+    """(k, e, steps, sizes, want): a few small sizes and one up to 10^4,
+    the box at most 10^4, random steps and target in (Z/e)^k; with e =
+    10^5 a target is mostly met once or never."""
+    k = draw(st.integers(0, 3))
+    e = draw(st.sampled_from([1, 2, 6, 40, 10 ** 5]))
+    sizes = draw(st.lists(st.integers(1, 5), max_size=3))
+    big = draw(st.integers(1, 10 ** 4 // math.prod(sizes)))
+    sizes.insert(draw(st.integers(0, len(sizes))), big)
+    vec = st.tuples(*[st.integers(0, e - 1)] * k)
+    steps = [draw(vec) for _ in sizes]
+    return k, e, steps, sizes, draw(vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_boxes())
+# 7 = 3 * 2 + 1 is past the box, the one residue that meets want
+@example((1, 100, [(1,)], [7], (7,)))
+def test_box_offsets_agree_with_the_whole_box(box):
+    k, e, steps, sizes, want = box
+    packed = bernardi._PackedResidues(k, e)
+    got = bernardi._box_offsets([packed.pack(s) for s in steps], sizes,
+                                packed.pack(want), packed)
+    hits = {c for c in itertools.product(*map(range, sizes))
+            if all(sum(cj * s[i] for cj, s in zip(c, steps)) % e == want[i]
+                   for i in range(k))}
+    assert (got is None) == (not hits)
+    assert got is None or tuple(got) in hits
+
+
+def test_reduce_memory_is_the_root_of_the_box():
+    # one edge of weight 10^6, so 10^6 classes in one box: a list of every
+    # residue alone would take several MiB
+    w = 10 ** 6
+    g = WeightedMultigraph.build(["a", "b"], [("e", ("a", "b"))],
+                                 edge_weight={"e": w})
+    D = Divisor({"a": w - 2 - 765432, "b": 765432})
+    tracemalloc.start()
+    try:
+        ts, cert = bernardi_reduce(g, D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the tree divisor at sigma is (w - sigma - 1) a + (sigma - 1) b
+    assert ts.sigma == {"e": 765433}
+    assert cert.potential == {"a": 0, "b": 0}
     assert peak < 2 ** 20

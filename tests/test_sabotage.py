@@ -243,6 +243,14 @@ def _stale_symmetric_multiplier(original):
     return fault
 
 
+def _box_target_negated(original):
+    # the meet in the middle solves for minus its target, a sign slip in
+    # the key difference that the walk hands it
+    def fault(steps, sizes, want, packed):
+        return original(steps, sizes, packed.neg(want), packed)
+    return fault
+
+
 FAULTS = [
     pytest.param(bernardi, "_unit_vector", _unit_vector_one_chip_more,
                  {"completeness", "torsor"}, id="unit-vector-one-chip"),
@@ -290,6 +298,11 @@ FAULTS = [
     pytest.param(intlinalg, "_eliminate", _stale_symmetric_multiplier,
                  {"matrix-tree", "invariance"},
                  id="symmetric-bareiss-stale-multiplier"),
+    # only `reduce` solves boxes, and it checks its certificate, so a wrong
+    # tree raises InternalError inside the torsor axioms; the oracle table
+    # of the completeness leg walks every class without the solver
+    pytest.param(bernardi, "_box_offsets", _box_target_negated, {"torsor"},
+                 id="box-target-negated"),
 ]
 
 
@@ -352,3 +365,15 @@ def test_each_fault_fails_its_criteria_and_no_other(monkeypatch, family,
                                                     layer, name, fault, fails):
     monkeypatch.setattr(layer, name, fault(getattr(layer, name)))
     assert _failed(family) == fails
+
+
+def test_a_wrong_determinant_is_not_blamed_on_the_input(monkeypatch):
+    # the K4 graph is pleasant, so a balanced count that is not an integer
+    # can only come from a wrong |Pic0|
+    monkeypatch.setattr(intlinalg, "_eliminate", _stale_symmetric_multiplier(
+        intlinalg._eliminate))
+    result = sweep_family([_k4_one_heavy_vertex()])["matrix-tree"]
+    assert not result.passed
+    assert "|Pic0| was computed wrongly" in result.detail
+    assert "prod(w)/gcd(w) = 2" in result.detail
+    assert "pleasant" not in result.detail

@@ -70,3 +70,21 @@ def test_structure_curve_smallest_rung(tmp_path):
         [(40, "pic0_structure"), (40, "picb0_structure")]
     assert all(p["agree"] and p["parent_s"] > 0 and p["change_s"] > 0
                and p["invariant_factors"] > 1 for p in points)
+
+
+def test_reduce_curve_smallest_rung(tmp_path):
+    # K6 with edge weight 2 only, this checkout against itself
+    out = tmp_path / "bench.json"
+    out.write_text('{"kept": 1}', encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reduce_curve.py"), "--graphs",
+         "K6-w2", "--repeats", "1", "--out", str(out)],
+        capture_output=True, text=True, check=False, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    points = doc["reduce_curve"]["points"]
+    assert doc["kept"] == 1
+    assert [(p["graph"], p["subcommand"]) for p in points] == \
+        [("K6-w2", "reduce"), ("K6-w2", "act")]
+    assert all(p["same_stdout"] and p["parent_s"] > 0 and p["change_s"] > 0
+               for p in points)
