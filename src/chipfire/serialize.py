@@ -224,12 +224,20 @@ def write_representatives(write, g, roots, starts, subweightings, before=(),
           + "\n}\n")
 
 
+def _dot_text(x):
+    """The id x by its JSON key text (`graphs._json_key`), with backslashes
+    and double quotes escaped for a quoted DOT string."""
+    return str(_json_key(x)).replace("\\", "\\\\").replace('"', '\\"')
+
+
 def graph_to_dot(g: WeightedMultigraph) -> str:
     lines = ["graph {"]
     for v in g.vertices:
-        lines.append(f'  "{v}" [label="{v} ({g.vertex_weight[v]})"];')
+        t = _dot_text(v)
+        lines.append(f'  "{t}" [label="{t} ({g.vertex_weight[v]})"];')
     for e in g.edges:
-        u, v = e.ends
-        lines.append(f'  "{u}" -- "{v}" [label="{e.id} ({g.edge_weight[e.id]})"];')
+        u, v = map(_dot_text, e.ends)
+        lines.append(f'  "{u}" -- "{v}" '
+                     f'[label="{_dot_text(e.id)} ({g.edge_weight[e.id]})"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -145,6 +145,37 @@ def test_dot_output(tw_file, capsys):
     assert out.startswith("graph {") and '"v1" -- "v2"' in out
 
 
+# ids with a double quote, a trailing backslash, and true, which JSON writes
+# as "true"; plus a numeric id, which DOT writes as before
+QUOTED = {"vertices": [{"id": 'a"b'}, {"id": "v\\"}, {"id": True},
+                       {"id": 7}],
+          "edges": [{"id": 'e"1', "ends": ['a"b', "v\\"]},
+                    {"id": "f\\", "ends": ["v\\", True]},
+                    {"id": False, "ends": [True, 'a"b']},
+                    {"id": 3, "ends": [7, True]}]}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("validate", []), ("rewrite", ["shrink", "--vertex", "true",
+                                   "--weight", "1"])])
+def test_dot_output_escapes_quoted_ids(tmp_path, capsys, command, extra):
+    code, out, err = _run(capsys, command, "--graph",
+                          _write(tmp_path, "g.json", QUOTED), "--format",
+                          "dot", *extra)
+    assert code == 0, err
+    assert out == "\n".join([
+        'graph {',
+        '  "a\\"b" [label="a\\"b (1)"];',
+        '  "v\\\\" [label="v\\\\ (1)"];',
+        '  "true" [label="true (1)"];',
+        '  "7" [label="7 (1)"];',
+        '  "a\\"b" -- "v\\\\" [label="e\\"1 (1)"];',
+        '  "v\\\\" -- "true" [label="f\\\\ (1)"];',
+        '  "true" -- "a\\"b" [label="false (1)"];',
+        '  "7" -- "true" [label="3 (1)"];',
+        '}', ''])
+
+
 def test_byte_identical_output(tw_file, capsys):
     _, out1, _ = _run(capsys, "trees", "--graph", tw_file)
     _, out2, _ = _run(capsys, "trees", "--graph", tw_file)
@@ -375,6 +406,11 @@ def _fiber(components, ends, id):
 
 
 TW_RIBBON = {"v1": ["a", "b"], "v2": ["a", "c"], "v3": ["b", "c"]}
+# a loop's two half-edges must be listed as "l:0" and "l:1"
+LOOP_ONCE = {"vertices": [{"id": "u"}, {"id": "v"}],
+             "edges": [{"id": "l", "ends": ["u", "u"]},
+                       {"id": "e", "ends": ["u", "v"]}],
+             "ribbon": {"u": ["l", "e"], "v": ["e"]}}
 # ids that JSON output would write as one object key
 TWIN_VERTICES = {"vertices": [{"id": 1}, {"id": "1"}],
                  "edges": [{"id": "e", "ends": [1, "1"]}]}
@@ -406,6 +442,7 @@ TWIN_EDGES = {"vertices": [{"id": "u"}, {"id": "v"}],
     _reduce(["--start", "a"], "reduce-start-without-root"),
     _reduce([], "divisor-true",
             divisor={"coefficients": {"v1": True, "v2": 0, "v3": 0}}),
+    _reduce([], "divisor-list", divisor=[DEGREE_1]),
     _reduce([], "divisor-unknown-vertex",
             divisor={"coefficients": {"v1": 2, "v2": -2, "v3": 1, "zz": 5}}),
     _act(TREE, "act-divisor-unknown-vertex",
@@ -420,6 +457,13 @@ TWIN_EDGES = {"vertices": [{"id": "u"}, {"id": "v"}],
         id="potential-coefficients-unknown-vertex"),
     _group({**TW_OBJ, "ribbon": [TW_RIBBON["v1"]]}, "ribbon-list"),
     _group({**TW_OBJ, "ribbon": {**TW_RIBBON, "v1": [1, "b"]}}, "ribbon-token-int"),
+    _group({**TW_OBJ, "ribbon": {"v1": ["a", "b"], "v2": ["a", "c"]}},
+           "ribbon-omits-vertex"),
+    _group(LOOP_ONCE, "ribbon-loop-bare-id"),
+    _group({**TW_OBJ, "ribbon": {**TW_RIBBON, "v3": ["b", "a"]}},
+           "ribbon-token-off-edge"),
+    _group([TW_OBJ], "graph-list"),
+    _group({**TW_OBJ, "vertices": ["v1", "v2", "v3"]}, "vertices-strings"),
     _group({**TW_OBJ, "edges": [{"id": "a", "ends": ["v1"]}]}, "ends-one"),
     _group({**TW_OBJ, "edges": [{"id": "a", "ends": ["v1", "v2", "v3"]}]},
            "ends-three"),
@@ -430,12 +474,20 @@ TWIN_EDGES = {"vertices": [{"id": "u"}, {"id": "v"}],
     _fiber([{"id": "C"}], "CC", "fiber-ends-string"),
     _fiber([{"id": "C"}], [["C"], "C"], "fiber-end-list"),
     _fiber([{"id": ["C"]}], ["C", "C"], "fiber-component-id-list"),
+    pytest.param("fiber", {"--fiber": {"components": [{"id": "C"}]}}, [],
+                 id="fiber-no-nodes"),
+    _fiber([{"id": "C", "index": 0}], ["C", "C"], "fiber-index-0"),
+    _fiber([{"id": "C", "index": "2"}], ["C", "C"], "fiber-index-string"),
+    _fiber([{"id": "C"}], ["C", "D"], "fiber-unknown-component"),
     pytest.param("rewrite", {"--graph": TW_OBJ},
                  ["add-leaf", "--vertex", "v1", "--leaf-weight", "0"],
                  id="leaf-weight-zero"),
     pytest.param("rewrite", {"--graph": TW_OBJ},
                  ["add-leaf", "--vertex", "v1", "--leaf-weight", "-2"],
                  id="leaf-weight-negative"),
+    pytest.param("rewrite", {"--graph": TW_OBJ},
+                 ["split-edge", "--edge", "a", "--parts", "1,x"],
+                 id="split-edge-parts-not-int"),
     pytest.param("rewrite", {"--graph": TWIN_VERTICES},
                  ["add-leaf", "--vertex", "1"], id="vertex-ids-twin"),
     pytest.param("trees", {"--graph": TWIN_EDGES}, [], id="edge-ids-twin"),

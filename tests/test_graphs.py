@@ -191,6 +191,22 @@ def test_split_edge_preserves_laplacian():
     assert [out.edge_weight[e.id] for e in out.edges] == [2, 1]
 
 
+def test_rewrites_number_an_id_that_is_taken():
+    g = WeightedMultigraph.build(["a", "b"], [("e", ("a", "b"))])
+    twice = add_leaf(add_leaf(g, "a"), "a")
+    assert twice.vertices == ("a", "b", "a_leaf", "a_leaf2")
+    assert [e.id for e in twice.edges] == ["e", "a_stem", "a_stem2"]
+    assert twice.edge("a_stem2").ends == ("a", "a_leaf2")
+    # "e.1" is taken, so the first part of e gets the next free id
+    g = WeightedMultigraph.build(["a", "b"], [("e", ("a", "b")),
+                                              ("e.1", ("a", "b"))],
+                                 edge_weight={"e": 3})
+    out = split_edge(g, "e", [2, 1])
+    assert [(e.id, out.edge_weight[e.id]) for e in out.edges] == \
+        [("e.12", 2), ("e.2", 1), ("e.1", 1)]
+    assert out.laplacian_matrix() == g.laplacian_matrix()
+
+
 def test_split_edge_checks_sum_and_pleasantness(tw):
     with pytest.raises(PreconditionError):
         split_edge(tw, "a", [1, 2])

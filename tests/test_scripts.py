@@ -1,5 +1,7 @@
 """Smoke tests of the scripts under scripts/, which use the package's
-public API."""
+public API: the weighted-triangle walkthrough, the CLI digest against its
+golden file, and the smallest rung of each `scripts/curve.py` suite
+(`reduce` and `structure`)."""
 
 import contextlib
 import io
@@ -55,12 +57,13 @@ def test_cli_digest_matches_its_golden_file():
 
 
 def test_structure_curve_smallest_rung(tmp_path):
-    # n = 40 only, this checkout against itself: one process per point
+    """`scripts/curve.py structure` at n = 40 only, this checkout against
+    itself: one process per point."""
     out = tmp_path / "bench.json"
     out.write_text('{"kept": 1}', encoding="utf-8")
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "structure_curve.py"), "--sizes", "40",
-         "--repeats", "1", "--out", str(out)],
+        [sys.executable, str(SCRIPTS / "curve.py"), "structure", "--sizes",
+         "40", "--repeats", "1", "--out", str(out)],
         capture_output=True, text=True, check=False, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     doc = json.loads(out.read_text(encoding="utf-8"))
@@ -73,11 +76,12 @@ def test_structure_curve_smallest_rung(tmp_path):
 
 
 def test_reduce_curve_smallest_rung(tmp_path):
-    # K6 with edge weight 2 only, this checkout against itself
+    """`scripts/curve.py reduce` on K6 with edge weight 2 only, this
+    checkout against itself."""
     out = tmp_path / "bench.json"
     out.write_text('{"kept": 1}', encoding="utf-8")
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "reduce_curve.py"), "--graphs",
+        [sys.executable, str(SCRIPTS / "curve.py"), "reduce", "--graphs",
          "K6-w2", "--repeats", "1", "--out", str(out)],
         capture_output=True, text=True, check=False, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -88,3 +92,14 @@ def test_reduce_curve_smallest_rung(tmp_path):
         [("K6-w2", "reduce"), ("K6-w2", "act")]
     assert all(p["same_stdout"] and p["parent_s"] > 0 and p["change_s"] > 0
                for p in points)
+
+
+def test_every_script_is_documented_and_run():
+    """Each `scripts/*.py` is named in README's *Layout* and run by a test
+    in this file."""
+    readme = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    tests = Path(__file__).read_text(encoding="utf-8")
+    for script in sorted(p.name for p in SCRIPTS.glob("*.py")):
+        assert f"scripts/{script}" in layout, script
+        assert f'SCRIPTS / "{script}"' in tests, script
