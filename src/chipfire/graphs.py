@@ -75,6 +75,14 @@ class Edge:
 
 @dataclass(frozen=True)
 class WeightedMultigraph:
+    """`build` validates; the plain constructor trusts its caller.
+
+    The fields are the vertex ids, vertex id -> weight, the `Edge`s, edge
+    id -> weight, and vertex id -> its tuple of half-edges in cyclic order,
+    as `build` would make them.  Graphs from outside the program go
+    through `build`; the family generator and the rewrites below, whose
+    parts are valid by construction, call the constructor itself.
+    """
     vertices: tuple[str, ...]
     vertex_weight: dict
     edges: tuple[Edge, ...]
@@ -320,12 +328,20 @@ def _replace_edges(g, pieces, vertices, vertex_weight):
     piece, in piece order, at that piece's end `side`: a kept endpoint
     gets the pieces one after another at the old half-edge, and the copies
     of a split vertex get theirs in the order of its old ribbon.
+
+    The caller vouches for the pieces: fresh ids (`_fresh_ids`), ends
+    among `vertices`, positive int weights, and a vertex weight for every
+    vertex.  The rest is valid because g is.
     """
     edges, ew = [], {}
     for e in g.edges:
-        for nid, ends, w in pieces.get(e.id, ((e.id, e.ends, g.edge_weight[e.id]),)):
-            edges.append((nid, ends))
-            ew[nid] = w
+        if e.id in pieces:
+            for nid, ends, w in pieces[e.id]:
+                edges.append(Edge(nid, ends))
+                ew[nid] = w
+        else:
+            edges.append(e)
+            ew[e.id] = g.edge_weight[e.id]
     ribbon = {v: [] for v in vertices}
     for v in g.vertices:
         for eid, side in g.ribbon[v]:
@@ -334,7 +350,8 @@ def _replace_edges(g, pieces, vertices, vertex_weight):
                     ribbon[ends[side]].append((nid, side))
             else:
                 ribbon[v].append((eid, side))
-    return WeightedMultigraph.build(vertices, edges, vertex_weight, ew, ribbon)
+    return WeightedMultigraph(tuple(vertices), vertex_weight, tuple(edges), ew,
+                              {v: tuple(hs) for v, hs in ribbon.items()})
 
 
 # -- hat graph ------------------------------------------------------------
@@ -354,48 +371,53 @@ def expand_hat(g: WeightedMultigraph) -> HatGraph:
     """
     copy_of = {}
     pieces = {}
+    taken = _keys(e.id for e in g.edges)
     for e in g.edges:
         w = g.edge_weight[e.id]
-        ids = [e.id] if w == 1 else [f"{e.id}#{i}" for i in range(1, w + 1)]
-        pieces[e.id] = [(cid, e.ends, 1) for cid in ids]
+        ids = [e.id] if w == 1 else _fresh_ids(
+            taken, [f"{_json_key(e.id)}#{i}" for i in range(1, w + 1)])
+        if w > 1:  # a weight-1 edge stays as it is
+            pieces[e.id] = [(cid, e.ends, 1) for cid in ids]
         copy_of.update((cid, (e.id, i)) for i, cid in enumerate(ids, start=1))
-    return HatGraph(graph=_replace_edges(g, pieces, g.vertices, None),
+    return HatGraph(graph=_replace_edges(g, pieces, g.vertices,
+                                         dict.fromkeys(g.vertices, 1)),
                     copy_of=copy_of)
 
 
 # -- rewrites -------------------------------------------------------------
 
 
-def _fresh_id(taken, stem):
-    if stem not in taken:
-        return stem
-    k = 2
-    while f"{stem}{k}" in taken:
-        k += 1
-    return f"{stem}{k}"
+def _keys(ids):
+    """The set of the ids' JSON key texts (`_json_key`)."""
+    return {_json_key(x) for x in ids}
 
 
 def _fresh_ids(taken, stems):
-    """A fresh id per stem, each added to the set `taken` in turn."""
+    """A fresh id per stem: the stem, or else the stem followed by the
+    least k >= 2 that is not taken.  `taken` is a set of JSON key texts
+    (`_keys`); each new id is added to it in turn, so the ids are distinct
+    keys in JSON output.  Stems are built from an old id's key text, so a
+    rewrite of vertex `true` names its leaf `true_leaf`."""
     ids = []
     for stem in stems:
-        ids.append(_fresh_id(taken, stem))
-        taken.add(ids[-1])
+        nid, k = stem, 2
+        while nid in taken:
+            nid, k = f"{stem}{k}", k + 1
+        taken.add(nid)
+        ids.append(nid)
     return ids
 
 
 def add_leaf(g, v, leaf_weight=1, edge_weight=1):
     """Attach a new degree-1 vertex at v; weights must keep the graph pleasant."""
     g.vindex(v)  # rejects an unknown vertex
-    leaf = _fresh_id(set(g.vertices), f"{v}_leaf")
-    eid = _fresh_id({e.id for e in g.edges}, f"{v}_stem")
+    [leaf] = _fresh_ids(_keys(g.vertices), [f"{_json_key(v)}_leaf"])
+    [eid] = _fresh_ids(_keys(e.id for e in g.edges), [f"{_json_key(v)}_stem"])
     _positive_weight("vertex", leaf, leaf_weight)
     _positive_weight("edge", eid, edge_weight)
     if edge_weight % leaf_weight or edge_weight % g.vertex_weight[v]:
         raise PreconditionError(
             "leaf edge weight must be divisible by both endpoint weights")
-    vertices = g.vertices + (leaf,)
-    edges = [(e.id, e.ends) for e in g.edges] + [(eid, (v, leaf))]
     vw = dict(g.vertex_weight)
     vw[leaf] = leaf_weight
     ew = dict(g.edge_weight)
@@ -403,7 +425,8 @@ def add_leaf(g, v, leaf_weight=1, edge_weight=1):
     ribbon = dict(g.ribbon)
     ribbon[v] = g.ribbon[v] + ((eid, 0),)
     ribbon[leaf] = ((eid, 1),)
-    return WeightedMultigraph.build(vertices, edges, vw, ew, ribbon)
+    return WeightedMultigraph(g.vertices + (leaf,), vw,
+                              g.edges + (Edge(eid, (v, leaf)),), ew, ribbon)
 
 
 def split_edge(g, eid, parts):
@@ -421,8 +444,8 @@ def split_edge(g, eid, parts):
                     f"part weight {p} is not divisible by the weight of {v!r}")
     if len(parts) == 1:
         return g
-    ids = _fresh_ids({x.id for x in g.edges},
-                     [f"{eid}.{k}" for k in range(1, len(parts) + 1)])
+    ids = _fresh_ids(_keys(x.id for x in g.edges),
+                     [f"{_json_key(eid)}.{k}" for k in range(1, len(parts) + 1)])
     pieces = {eid: [(nid, e.ends, p) for nid, p in zip(ids, parts)]}
     return _replace_edges(g, pieces, g.vertices, dict(g.vertex_weight))
 
@@ -435,9 +458,8 @@ def shrink_vertex_weight(g, v, new_weight):
         raise PreconditionError("new weight must be a positive divisor of the old one")
     vw = dict(g.vertex_weight)
     vw[v] = new_weight
-    return WeightedMultigraph.build(g.vertices,
-                                    [(e.id, e.ends) for e in g.edges],
-                                    vw, dict(g.edge_weight), dict(g.ribbon))
+    return WeightedMultigraph(g.vertices, vw, g.edges, dict(g.edge_weight),
+                              dict(g.ribbon))
 
 
 def split_vertex(g, v, r, plan):
@@ -459,14 +481,14 @@ def split_vertex(g, v, r, plan):
         raise PreconditionError("plan must cover exactly the edges at the split vertex")
     # a single copy keeps the vertex's id
     names = [v] if r == 1 else _fresh_ids(
-        set(g.vertices), [f"{v}_{j}" for j in range(1, r + 1)])
+        _keys(g.vertices), [f"{_json_key(v)}_{j}" for j in range(1, r + 1)])
 
     def copy(c):
         if not is_int(c) or not 0 <= c < r:
             raise PreconditionError("plan copy index out of range")
         return names[c]
 
-    taken = {e.id for e in g.edges}
+    taken = _keys(e.id for e in g.edges)
     pieces = {}
     for e in incident:
         parts = list(plan[e.id])
@@ -476,7 +498,7 @@ def split_vertex(g, v, r, plan):
             raise PreconditionError(
                 f"plan parts for edge {e.id!r} must sum to its weight")
         ids = [e.id] if len(parts) == 1 else _fresh_ids(
-            taken, [f"{e.id}.{k}" for k in range(1, len(parts) + 1)])
+            taken, [f"{_json_key(e.id)}.{k}" for k in range(1, len(parts) + 1)])
         pieces[e.id] = []
         for nid, (c, w) in zip(ids, parts):
             if not e.is_loop:

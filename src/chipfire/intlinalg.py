@@ -147,11 +147,12 @@ def _eliminate(M, n):
     the general path, so it is the same minor.  A zero pivot on that path
     first copies the active block's upper triangle into its lower part;
     the row swap then breaks the symmetry, and the general path takes
-    over.
+    over.  Below 4 x 4 the symmetric path saves at most one entry update,
+    less than the symmetry test costs, so it is not tried.
     """
     if n == 0:
         return 1
-    sym = _symmetric(M, n)
+    sym = n >= 4 and _symmetric(M, n)
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -338,6 +338,51 @@ def test_rewrites_name_numeric_ids(tmp_path, capsys, argv, plan, vertices,
     assert [e["id"] for e in obj["edges"]] == edges
 
 
+# new ids are told apart from the old by their JSON key text, and built
+# from it: edge 3 splits into "3.12" and "3.2", since the number 3.1 is
+# written as the key "3.1"; vertex true grows "true_leaf", not "True_leaf"
+ODD_IDS = {"vertices": [{"id": True, "weight": 2}, {"id": "u"}],
+           "edges": [{"id": 3, "ends": [True, "u"], "weight": 4},
+                     {"id": 3.1, "ends": [True, "u"], "weight": 2},
+                     {"id": "3#1", "ends": ["u", "u"]}]}
+
+
+@pytest.mark.parametrize("argv, plan, vertices, edges", [
+    (["split-edge", "--edge", "3", "--parts", "2,2"], None,
+     [True, "u"], ["3.12", "3.2", 3.1, "3#1"]),
+    (["add-leaf", "--vertex", "true", "--edge-weight", "2"], None,
+     [True, "u", "true_leaf"], [3, 3.1, "3#1", "true_stem"]),
+    (["split-vertex", "--vertex", "true", "--copies", "2"],
+     {"parts": {"3": [[0, 2], [1, 2]], "3.1": [[1, 2]]}},
+     ["true_1", "true_2", "u"], ["3.12", "3.2", 3.1, "3#1"]),
+], ids=["split-edge", "add-leaf", "split-vertex"])
+def test_rewrites_name_new_ids_by_json_key_text(tmp_path, capsys, argv, plan,
+                                                vertices, edges):
+    if plan is not None:
+        argv = [*argv, "--plan", _write(tmp_path, "p.json", plan)]
+    code, out, err = _run(capsys, "rewrite", "--graph",
+                          _write(tmp_path, "g.json", ODD_IDS), *argv)
+    assert code == 0, err
+    obj = json.loads(out)
+    assert [v["id"] for v in obj["vertices"]] == vertices
+    assert [e["id"] for e in obj["edges"]] == edges
+    path = tmp_path / "out.json"
+    path.write_text(out)
+    assert _run(capsys, "validate", "--graph", str(path))[0] == 0
+
+
+def test_expand_names_copies_by_json_key_text(tmp_path, capsys):
+    # edge 3's first copy would be "3#1", which the loop already is
+    code, out, err = _run(capsys, "expand", "--graph",
+                          _write(tmp_path, "g.json", ODD_IDS))
+    assert code == 0, err
+    obj = json.loads(out)
+    assert [e["id"] for e in obj["graph"]["edges"]] == [
+        "3#12", "3#2", "3#3", "3#4", "3.1#1", "3.1#2", "3#1"]
+    assert obj["copy_of"]["3#12"] == [3, 1]
+    assert obj["copy_of"]["3.1#2"] == [3.1, 2]
+
+
 # loops 8, "l" and true at u; a loop's half-edges are written by the
 # loop's JSON key text, as "8:0" and "true:1"
 LOOPS = {"vertices": [{"id": "u", "weight": 2}, {"id": "v"}],

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from chipfire import (GraphInputError, InternalError, PreconditionError,
                       split_vertex, tour_forest, validate, weighted_genus)
 from chipfire.family import pleasant_family
 from chipfire.graphs import forget_tables
-from chipfire.selfcheck import sweep_family
+from chipfire.selfcheck import _auto_split_plan, sweep_family
 from chipfire.trees import enumerate_forests, enumerate_trees
 from test_bernardi import _random_pleasant
 
@@ -334,3 +335,81 @@ def test_expand_hat_ribbon_of_two_components():
          ("s#1", "xy"), ("s#2", "xy"), ("s#3", "xy"), ("t", "xy")],
         {"a": ["q", "p#1", "p#2"], "b": ["p#1", "p#2", "r"], "c": ["r", "q"],
          "x": ["t", "s#1", "s#2", "s#3"], "y": ["s#1", "s#2", "s#3", "t"]})
+
+
+# The rewrites and the family generator call the plain constructor, which
+# checks nothing; each graph they make must be one that `build` accepts
+# unchanged.
+
+def _rebuilt(g):
+    return WeightedMultigraph.build(g.vertices,
+                                    [(e.id, e.ends) for e in g.edges],
+                                    g.vertex_weight, g.edge_weight, g.ribbon)
+
+
+def _alternating_plan(g, v, r):
+    """Send each edge at v wholly to one of r copies in turn; a loop joins
+    two neighbouring copies."""
+    plan = {}
+    for k, e in enumerate(x for x in g.edges if v in x.ends):
+        c = k % r
+        plan[e.id] = [((c, (c + 1) % r) if e.is_loop else c,
+                       g.edge_weight[e.id])]
+    return plan
+
+
+def _derived(g):
+    yield g
+    yield expand_hat(g).graph
+    for v in g.vertices:
+        w = g.vertex_weight[v]
+        yield add_leaf(g, v, leaf_weight=1, edge_weight=w)
+        if w > 1:
+            yield shrink_vertex_weight(g, v, 1)
+            yield split_vertex(g, v, w, _alternating_plan(g, v, w))[0]
+            plan = _auto_split_plan(g, v)
+            if plan is not None:
+                yield split_vertex(g, v, 2, plan)[0]
+        yield split_vertex(g, v, 1, _alternating_plan(g, v, 1))[0]
+    for e in g.edges:
+        w = g.edge_weight[e.id]
+        unit = math.lcm(*(g.vertex_weight[v] for v in e.ends))
+        if w >= 2 * unit:
+            yield split_edge(g, e.id, [unit] * (w // unit))
+
+
+# ids of three kinds whose JSON key texts the rewrites' new ids meet:
+# 3 splits into "3.1" against the float 3.1, 4 into "4#1" against the
+# string, and vertex 2 grows "2_leaf" against the string
+VERTEX_IDS = [True, None, 0.5, 2, 3, "a", "2_leaf", "2_1"]
+EDGE_IDS = [True, None, 3, 3.1, 4, "4#1", 2.5, "x", "3.2", 7]
+
+
+def _random_odd_ids(rng):
+    n = rng.randint(2, 5)
+    vertices = rng.sample(VERTEX_IDS, n)
+    vw = {v: rng.choice((1, 1, 2, 3)) for v in vertices}
+    pairs = [(vertices[i], vertices[rng.randrange(i)]) for i in range(1, n)]
+    pairs += [tuple(rng.choice(vertices) for _ in range(2))
+              for _ in range(rng.randint(1, 3))]
+    edges = list(zip(rng.sample(EDGE_IDS, len(pairs)), pairs))
+    ew = {eid: math.lcm(vw[a], vw[b]) * rng.choice((1, 2, 3))
+          for eid, (a, b) in edges}
+    g = WeightedMultigraph.build(vertices, edges, vw, ew)
+    ribbon = {v: rng.sample(hs, len(hs)) for v, hs in g.ribbon.items()}
+    return WeightedMultigraph.build(vertices, edges, vw, ew, ribbon)
+
+
+@pytest.mark.parametrize("source", ["desk", "random"])
+def test_derived_graphs_are_what_build_makes_of_their_fields(source):
+    if source == "desk":
+        graphs = pleasant_family(max_vertices=3, max_edges=4, max_weight=3)
+    else:
+        rng = random.Random(11)
+        graphs = [_random_odd_ids(rng) for _ in range(300)]
+    count = 0
+    for g in graphs:
+        for out in _derived(g):
+            assert out == _rebuilt(out)
+            count += 1
+    assert count > 3000
