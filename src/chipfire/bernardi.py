@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from operator import sub
 
-from .divisors import (Divisor, LaplacianSystem, check_on_graph, degree,
-                       equivalent, require_pleasant)
+from .divisors import (Divisor, LaplacianSystem, _PackedResidues,
+                       check_on_graph, degree, equivalent, require_pleasant)
 from .errors import GraphInputError, InternalError, PreconditionError
 from .graphs import component_genera, is_int
 from .trees import enumerate_forests, is_maximal_forest, iter_forests
@@ -160,14 +160,38 @@ def _orient(g, forest, starts):
 
 def orientation_divisor(g, orient) -> Divisor:
     """Coefficient indeg(v) - 1 at every vertex of the orientation
-    {edge id: (tail, head)}; a loop adds one at its vertex."""
-    missing = {e.id for e in g.edges} - set(orient)
+    {edge id: (tail, head)}; a loop adds one at its vertex.  Raises
+    PreconditionError unless orient gives exactly g's edges, each as its
+    two ends in either order."""
+    ids = [e.id for e in g.edges]
+    missing = set(ids) - set(orient)
     if missing:
-        raise PreconditionError(f"orientation is missing edges {sorted(missing)}")
-    indeg = {v: 0 for v in g.vertices}
-    for eid, (_tail, head) in orient.items():
-        indeg[head] += 1
-    return Divisor({v: indeg[v] - 1 for v in g.vertices})
+        raise PreconditionError(
+            f"orientation is missing edges {sorted(missing, key=repr)}")
+    extra = set(orient) - set(ids)
+    if extra:
+        raise PreconditionError(
+            f"orientation names edges {sorted(extra, key=repr)} that the "
+            "graph does not have")
+    for e in g.edges:
+        ends = orient[e.id]
+        if not (isinstance(ends, (tuple, list))
+                and tuple(ends) in (e.ends, e.ends[::-1])):
+            raise PreconditionError(
+                f"orientation gives edge {e.id!r} the ends {ends!r}, not "
+                f"{e.ends!r} in either order")
+    return Divisor.from_vector(g, _indegree_vector(g, orient))
+
+
+def _indegree_vector(g, orient):
+    """indeg(v) - 1 in vertex order of a checked orientation {edge id:
+    (tail, head)}: the vector core of `orientation_divisor`, which
+    `selfcheck`'s hat leg calls on each hat tour."""
+    index = g.vertex_index
+    vec = [-1] * len(index)
+    for _tail, head in orient.values():
+        vec[index[head]] += 1
+    return vec
 
 
 def _unit_vector(g, forest, orient):
@@ -269,8 +293,9 @@ def _sigma_combos(g, forest, starts, balanced_only):
 
 
 def _with_sigma(g, forest, combo, roots, starts):
-    return SubweightedTree(forest, {**g.edge_weight, **dict(zip(forest, combo))},
-                           roots, starts)
+    sigma = dict(g.edge_weight)
+    sigma.update(zip(forest, combo))
+    return SubweightedTree(forest, sigma, roots, starts)
 
 
 def all_subweighting_combos(g, balanced_only=False):
@@ -321,46 +346,6 @@ def _unit_residues(g, system):
     for c, i in enumerate(system.keep):
         unit[i] = tuple([row[c] % e for row in system.X])
     return unit
-
-
-class _PackedResidues:
-    """Vectors of k residues mod e packed into one int, `width` bits per
-    coordinate, wide enough for a sum of `terms` reduced vectors.
-
-    `add` of two reduced vectors is one int addition and a correction that
-    subtracts e from every coordinate that reached e, found from the top
-    bit of each coordinate after adding 2^(width-1) - e to it, with no
-    carry between coordinates; so a step of a walk costs a few int
-    operations, not one per coordinate.
-    """
-
-    def __init__(self, k, e, terms=2):
-        self.k, self.e = k, e
-        self.width = width = (terms * e).bit_length() + 1
-        ones = sum(1 << (width * i) for i in range(k))
-        self.high = ones << (width - 1)
-        self.bias = ((1 << (width - 1)) - e) * ones
-        self.full = e * ones
-        self.mask = (1 << width) - 1
-
-    def pack(self, vec):
-        """The packed vector of ints, each coordinate reduced mod e."""
-        e, width = self.e, self.width
-        return sum((c % e) << (width * i) for i, c in enumerate(vec))
-
-    def unpack(self, x):
-        return [(x >> (self.width * i)) & self.mask for i in range(self.k)]
-
-    def canonical(self, x):
-        """x, a sum of at most `terms` reduced vectors, reduced."""
-        return self.pack(self.unpack(x))
-
-    def add(self, x, y):
-        s = x + y
-        return s - (((s + self.bias) & self.high) >> (self.width - 1)) * self.e
-
-    def neg(self, x):
-        return self.add(self.full - x, 0)
 
 
 def _box_offsets(steps, sizes, want, packed):
@@ -499,18 +484,24 @@ def tree_divisor(g, ts: SubweightedTree) -> Divisor:
     (`enumerate_subweightings` and `reduce` tour each forest once for all
     its sigma)."""
     _require_maximal(g, ts.forest_edges)
-    orient = _orient(g, ts.forest_edges, ts.starts)
-    out = {v: -g.vertex_weight[v] for v in g.vertices}
-    for e in g.edges:
-        w = g.edge_weight[e.id]
-        s = ts.sigma[e.id]
-        if e.is_loop:
-            out[e.ends[0]] += w
-            continue
-        tail, head = orient[e.id]
-        out[head] += s
-        out[tail] += w - s
-    return Divisor(out)
+    return Divisor.from_vector(
+        g, _tree_vector(g, ts.sigma, _orient(g, ts.forest_edges, ts.starts)))
+
+
+def _tree_vector(g, sigma, orient):
+    """D_{T,sigma} in vertex order from the tour orientation of T: the
+    vector core of `tree_divisor`, which `selfcheck`'s completeness leg
+    calls on each table tree.  An edge oriented tail -> head gives sigma
+    to its head and w - sigma to its tail, so a loop, off the forest with
+    sigma = w, gives w to its vertex."""
+    index = g.vertex_index
+    vec = [-g.vertex_weight[v] for v in g.vertices]
+    for eid, w in g.edge_weight.items():
+        tail, head = orient[eid]
+        s = sigma[eid]
+        vec[index[head]] += s
+        vec[index[tail]] += w - s
+    return vec
 
 
 # -- hat-graph correspondence ---------------------------------------------
@@ -520,37 +511,36 @@ def hat_pairs(g, hat):
     """(sub-weighted tree of g, tour orientation of the hat tree) for each
     maximal spanning forest of the hat graph, in `enumerate_forests` order,
     touring each once from the hat graph's default roots and starts; the
-    trees of g take g's."""
+    trees of g take g's.  `hat` is `expand_hat(g)`, whose copies of an
+    edge stand at its place in the edge order, so a hat tree's edges name
+    its forest on g in g's edge order."""
     hat_g = hat.graph
+    copy_of = hat.copy_of
     copies = {}
-    for cid, (eid, _i) in hat.copy_of.items():
+    for cid, (eid, _i) in copy_of.items():
         copies.setdefault(eid, []).append(cid)
+    # a forest holds at most one of an edge's parallel copies, and an edge
+    # with one copy has sigma = w = 1 whether it is in the forest or not
+    parallel = [(e.id, copies[e.id]) for e in g.edges
+                if len(copies[e.id]) > 1 and not e.is_loop]
     roots, starts = resolve_roots(g)
     _, hat_starts = resolve_roots(hat_g)
     out = []
     for hatT in enumerate_forests(hat_g):
-        hatT = set(hatT)
         orient = _orient(hat_g, hatT, hat_starts)
-        forest = []
-        sigma = {}
-        for e in g.edges:
-            cs = copies[e.id]
-            in_tree = [c for c in cs if c in hatT]
-            if in_tree:
-                forest.append(e.id)
-                ref = orient[in_tree[0]]
-                sigma[e.id] = sum(1 for c in cs if orient[c] == ref)
-            else:
-                sigma[e.id] = g.edge_weight[e.id]
-                if not e.is_loop:
-                    dirs = {orient[c] for c in cs}
-                    # the correspondence presumes parallel non-tree copies agree
-                    if len(dirs) != 1:
-                        raise InternalError(
-                            f"copies of non-tree edge {e.id!r} received mixed "
-                            f"directions {sorted(dirs)}; correspondence "
-                            "assumption violated")
-        out.append((SubweightedTree(tuple(forest), sigma, roots, starts),
+        chosen = {copy_of[c][0]: c for c in hatT}  # edge of g -> its copy
+        sigma = dict(g.edge_weight)
+        for eid, cs in parallel:
+            dirs = [orient[c] for c in cs]
+            if eid in chosen:
+                sigma[eid] = dirs.count(orient[chosen[eid]])
+            # the correspondence presumes parallel non-tree copies agree
+            elif dirs.count(dirs[0]) != len(dirs):
+                raise InternalError(
+                    f"copies of non-tree edge {eid!r} received mixed "
+                    f"directions {sorted(set(dirs))}; correspondence "
+                    "assumption violated")
+        out.append((SubweightedTree(tuple(chosen), sigma, roots, starts),
                     orient))
     return out
 

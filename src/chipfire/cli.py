@@ -54,8 +54,9 @@ def _load_divisor(g, path, potential=False):
     obj = _load_json(path)
     key = ("potential" if potential and isinstance(obj, dict) and "potential" in obj
            else "coefficients")
-    D = serialize.divisor_from_obj(g, obj, key=key)
-    check_on_graph(g, D, "potential" if potential else "divisor")
+    what = "potential" if potential else "divisor"
+    D = serialize.divisor_from_obj(g, obj, key=key, what=what)
+    check_on_graph(g, D, what)
     return D
 
 

@@ -122,16 +122,66 @@ class LaplacianSystem:
         self.g = g
         Lr, self.keep = reduced_laplacian(g)
         self.X, self.e = intlinalg.inverse(Lr)
-        self.comps = [[g.vindex(v) for v in comp] for comp in g.components()]
+        # a key is dot products with vec itself: per component its
+        # indicator, and the rows of X spread over all vertices, 0 at roots
+        self._degree_rows = [[int(v in comp) for v in g.vertices]
+                             for comp in map(set, g.components())]
+        self._residue_rows = [[0] * g.n for _ in self.X]
+        for full, row in zip(self._residue_rows, self.X):
+            for i, c in zip(self.keep, row):
+                full[i] = c
 
     def vector_key(self, vec):
         """Class key of the divisor with coefficients vec in vertex order."""
-        degrees = tuple(sum(vec[i] for i in comp) for comp in self.comps)
-        vr = [vec[i] for i in self.keep]
-        return degrees, tuple(sum(map(mul, row, vr)) % self.e for row in self.X)
+        e = self.e
+        return (tuple([sum(map(mul, row, vec)) for row in self._degree_rows]),
+                tuple([sum(map(mul, row, vec)) % e
+                       for row in self._residue_rows]))
 
     def class_key(self, D: Divisor):
         return self.vector_key(D.vector(self.g))
+
+
+class _PackedResidues:
+    """Vectors of k residues mod e packed into one int, `width` bits per
+    coordinate, wide enough for a sum of `terms` reduced vectors.
+
+    `add` of two reduced vectors is one int addition and a correction that
+    subtracts e from every coordinate that reached e, found from the top
+    bit of each coordinate after adding 2^(width-1) - e to it, with no
+    carry between coordinates; so a step of a walk costs a few int
+    operations, not one per coordinate.  `bernardi.reduce`'s meet in the
+    middle and `picard`'s brute-force closure pack the residue parts of
+    `LaplacianSystem` keys so.
+    """
+
+    def __init__(self, k, e, terms=2):
+        self.k, self.e = k, e
+        self.width = width = (terms * e).bit_length() + 1
+        ones = sum(1 << (width * i) for i in range(k))
+        self.high = ones << (width - 1)
+        self.bias = ((1 << (width - 1)) - e) * ones
+        self.full = e * ones
+        self.mask = (1 << width) - 1
+
+    def pack(self, vec):
+        """The packed vector of ints, each coordinate reduced mod e."""
+        e, width = self.e, self.width
+        return sum([(c % e) << (width * i) for i, c in enumerate(vec)])
+
+    def unpack(self, x):
+        return [(x >> (self.width * i)) & self.mask for i in range(self.k)]
+
+    def canonical(self, x):
+        """x, a sum of at most `terms` reduced vectors, reduced."""
+        return self.pack(self.unpack(x))
+
+    def add(self, x, y):
+        s = x + y
+        return s - (((s + self.bias) & self.high) >> (self.width - 1)) * self.e
+
+    def neg(self, x):
+        return self.add(self.full - x, 0)
 
 
 def equivalent(g, D1, D2):

@@ -23,6 +23,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import mod, sub
 from types import SimpleNamespace
 
 from . import bernardi, intlinalg, picard, trees
@@ -266,18 +267,26 @@ def _completeness(g, at, stats):
     if len(reducer.table) != at.count:
         yield f"{len(reducer.table)} representatives vs count {at.count}"
     gm1 = weighted_genus(g) - 1
+    weights = [g.vertex_weight[v] for v in g.vertices]
     balanced_ts = []
     at.divisors = {}  # ts.key() -> tree divisor vector, for the hat leg
+    forest = orient = None
     for key, ts in reducer.table.items():
-        # the table's keys come from one tour and affine steps per
-        # forest; a tour per tree must give the same class
-        D = bernardi.tree_divisor(g, ts)
-        at.divisors[ts.key()] = D.vector(g)
-        if reducer.system.class_key(D) != key:
+        # the table's keys come from the reducer's own tour and affine
+        # steps per forest; this leg's own tour of each forest and the
+        # tree divisor summed edge by edge at each sigma must give the
+        # same class.  The table's forests are maximal, so the divisor
+        # comes from `tree_divisor`'s vector core, without its check
+        if ts.forest_edges != forest:
+            forest = ts.forest_edges
+            orient = bernardi._orient(g, forest, ts.starts)
+        vec = bernardi._tree_vector(g, ts.sigma, orient)
+        at.divisors[ts.key()] = vec
+        if reducer.system.vector_key(vec) != key:
             yield f"table key of {ts.key()} is not the class of its tree divisor"
-        if degree(D) != gm1:
-            yield f"tree divisor degree {degree(D)} != {gm1}"
-        if is_balanced(g, D):
+        if sum(vec) != gm1:
+            yield f"tree divisor degree {sum(vec)} != {gm1}"
+        if not any(map(mod, vec, weights)):
             balanced_ts.append(ts)
     # the congruences that generate the balanced trees against the
     # table's trees whose divisor is balanced, tree by tree
@@ -298,15 +307,16 @@ def _hat(g, at, stats):
     if weighted_genus(hat.graph) != weighted_genus(g) + sum(
             g.vertex_weight[v] - 1 for v in g.vertices):
         yield "hat genus identity failed"
-    shift = bernardi.hat_reference_shift(g)
+    # the hat graph has g's vertices, in g's order
+    shift = bernardi.hat_reference_shift(g).vector(g)
     for ts, orient in bernardi.hat_pairs(g, hat):
         D = at.divisors.pop(ts.key(), None)
         if D is None:
             yield (f"hat pair {ts.key()} repeats or is not a sub-weighted "
                    "tree of the graph")
             return
-        DO = bernardi.orientation_divisor(hat.graph, orient)
-        if D != (DO - shift).vector(g):
+        if D != list(map(sub, bernardi._indegree_vector(hat.graph, orient),
+                         shift)):
             yield "hat shift identity failed"
             return
     if at.divisors:

@@ -103,13 +103,14 @@ def graph_id(by_key, text):
     return by_key.get(text, text) if isinstance(text, str) else text
 
 
-def divisor_from_obj(g, obj, key="coefficients") -> Divisor:
+def divisor_from_obj(g, obj, key="coefficients", what="divisor") -> Divisor:
+    """The divisor (or potential, named by `what` in errors) under obj[key]."""
     try:
         coeffs = obj[key]
     except (KeyError, TypeError) as exc:
-        raise GraphInputError(f"malformed divisor object: missing {key!r}") from exc
+        raise GraphInputError(f"malformed {what} object: missing {key!r}") from exc
     if not isinstance(coeffs, dict) or not all(map(is_int, coeffs.values())):
-        raise GraphInputError("divisor coefficients must be integers")
+        raise GraphInputError(f"{what} coefficients must be integers")
     return Divisor({graph_id(g.vertex_by_key, v): c for v, c in coeffs.items()})
 
 

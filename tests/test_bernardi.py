@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -59,6 +60,81 @@ def test_orientation_divisors(triangle):
     third = tour_forest(triangle, ("b", "c"), roots, starts)
     assert orientation_divisor(triangle, first).vector(triangle) == [0, -1, 1]
     assert orientation_divisor(triangle, third).vector(triangle) == [0, 0, 0]
+
+
+def test_orientation_divisor_takes_only_an_orientation_of_the_graph(
+        triangle):
+    O = tour_forest(triangle, ("a", "b"))
+    assert orientation_divisor(triangle, O) == Divisor(
+        {"v1": -1, "v2": 1, "v3": 0})
+    # either order of an edge's ends, as a tuple or a list
+    assert orientation_divisor(triangle, {**O, "a": ["v2", "v1"]}) == Divisor(
+        {"v1": 0, "v2": 0, "v3": 0})
+    bad = [
+        ({**O, "bogus": ("v1", "v2")}, "that the graph does not have"),
+        ({**O, "a": ("v1", "v9")}, "not ('v1', 'v2') in either order"),
+        ({**O, "a": ("v1", "v3")}, "not ('v1', 'v2') in either order"),
+        ({**O, "a": ("v1", "v2", "v3")}, "in either order"),
+        ({**O, "a": "v1v2"}, "in either order"),
+        ({"a": O["a"], "b": O["b"]}, "missing edges ['c']"),
+    ]
+    for orient, message in bad:
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            orientation_divisor(triangle, orient)
+
+
+def _every_subweighted_tree(g):
+    roots, starts = resolve_roots(g)
+    for forest, combos in bernardi.all_subweighting_combos(g):
+        for combo in combos:
+            yield bernardi._with_sigma(g, forest, combo, roots, starts)
+
+
+def _tree_divisor_by_hand(g, ts):
+    """D_{T,sigma} from the public tour: sigma at the head of each edge
+    and w - sigma at its tail, minus the vertex weights."""
+    out = {v: -g.vertex_weight[v] for v in g.vertices}
+    for eid, (tail, head) in tour_forest(g, ts.forest_edges, ts.roots,
+                                         ts.starts).items():
+        out[head] += ts.sigma[eid]
+        out[tail] += g.edge_weight[eid] - ts.sigma[eid]
+    return [out[v] for v in g.vertices]
+
+
+def _indegrees_by_hand(g, orient):
+    heads = [head for _tail, head in orient.values()]
+    return [heads.count(v) - 1 for v in g.vertices]
+
+
+def _vector_core_graphs():
+    rng = random.Random(27)
+    return [*pleasant_family(max_vertices=3, max_edges=4, max_weight=3),
+            *(_random_pleasant(rng, n, parts) for n in range(4, 8)
+              for parts in (1, 2) if n >= 2 * parts + 1)]
+
+
+def test_vector_cores_equal_the_public_divisors():
+    graphs = _vector_core_graphs()
+    assert any(len(g.components()) == 2 for g in graphs)
+    assert any(e.is_loop for g in graphs for e in g.edges)
+    trees = orientations = 0
+    for g in graphs:
+        for ts in _every_subweighted_tree(g):
+            vec = bernardi._tree_vector(
+                g, ts.sigma, bernardi._orient(g, ts.forest_edges, ts.starts))
+            assert vec == tree_divisor(g, ts).vector(g)
+            assert vec == _tree_divisor_by_hand(g, ts)
+            trees += 1
+        hat = expand_hat(g)
+        for h, orients in (
+                (g, [tour_forest(g, forest) for forest in enumerate_forests(g)]),
+                (hat.graph, [O for _, O in bernardi.hat_pairs(g, hat)])):
+            for orient in orients:
+                vec = bernardi._indegree_vector(h, orient)
+                assert vec == orientation_divisor(h, orient).vector(h)
+                assert vec == _indegrees_by_hand(h, orient)
+                orientations += 1
+    assert trees > 10_000 and orientations > 10_000
 
 
 def test_subweighting_counts(tw):

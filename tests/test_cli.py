@@ -11,6 +11,7 @@ import pytest
 from chipfire import WeightedMultigraph, bernardi, picard, serialize
 from chipfire.cli import main
 from chipfire.errors import InternalError
+from chipfire.graphs import is_int
 
 TW_OBJ = {
     "vertices": [{"id": "v1", "weight": 2}, {"id": "v2", "weight": 1},
@@ -500,6 +501,9 @@ TWIN_EDGES = {"vertices": [{"id": "u"}, {"id": "v"}],
     pytest.param("laplacian", {"--graph": TW_OBJ, "--divisor": {
         "coefficients": {"v1": 0, "v2": 0, "v3": 0, "zz": 7}}}, [],
         id="potential-coefficients-unknown-vertex"),
+    pytest.param("laplacian", {"--graph": TW_OBJ, "--divisor": {
+        "potential": {"v1": 0, "v2": 0, "v3": "3"}}}, [],
+        id="potential-coefficient-string"),
     _group({**TW_OBJ, "ribbon": [TW_RIBBON["v1"]]}, "ribbon-list"),
     _group({**TW_OBJ, "ribbon": {**TW_RIBBON, "v1": [1, "b"]}}, "ribbon-token-int"),
     _group({**TW_OBJ, "ribbon": {"v1": ["a", "b"], "v2": ["a", "c"]}},
@@ -557,7 +561,9 @@ def test_malformed_input_exits_1(tmp_path, capsys, command, files, extra):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "Traceback" not in err
     if command == "laplacian":
-        assert "potential mentions" in err
+        potential, = files["--divisor"].values()
+        assert ("potential mentions" if all(map(is_int, potential.values()))
+                else "potential coefficients must be integers") in err
     if "--start" in extra and "--root" not in extra:
         assert "--start" in err and "--root" in err
     if command == "selfcheck":

@@ -195,9 +195,20 @@ def _small_random_pleasant(rng, n):
          for k, (u, v) in enumerate(pairs)})
 
 
+def _wide_exponent_path():
+    """The path a - b - c with w(b) = w(c) = 2 and edge weights 2018 and 2:
+    Pic0 = Z/2 + Z/2018, so both residues of a key run past 1,000 and the
+    packed keys' fields are 13 bits wide."""
+    return WeightedMultigraph.build(
+        ["a", "b", "c"], [("ab", ("a", "b")), ("bc", ("b", "c"))],
+        {"b": 2, "c": 2}, {"ab": 2018, "bc": 2})
+
+
 def test_incremental_coset_keys_match_per_vector_keys(tw, four_edge_pleasant):
     rng = random.Random(11)
-    graphs = [tw, four_edge_pleasant] + [
+    wide = _wide_exponent_path()
+    assert LaplacianSystem(wide).e == 2018
+    graphs = [tw, four_edge_pleasant, wide] + [
         _small_random_pleasant(rng, n) for n in (5, 6, 7, 6, 7)]
     for g in graphs:
         assert g.is_connected()

@@ -12,8 +12,7 @@ import random
 
 import pytest
 
-from chipfire import (Divisor, WeightedMultigraph, bernardi, intlinalg,
-                      picard, selfcheck)
+from chipfire import WeightedMultigraph, bernardi, intlinalg, picard, selfcheck
 from chipfire.errors import InternalError
 from chipfire.family import pleasant_family
 from chipfire.selfcheck import (check_divisor_properties, check_fig2_tours,
@@ -147,11 +146,29 @@ def _non_tree_edges_reversed(original):
     return fault
 
 
-def _tree_divisor_one_chip_more(original):
+def _tree_vector_one_chip_more(original):
     # the per-tree divisor with one chip more at the first vertex
-    def fault(g, ts):
-        D = original(g, ts)
-        return D + Divisor({g.vertices[0]: 1})
+    def fault(g, sigma, orient):
+        vec = original(g, sigma, orient)
+        vec[0] += 1
+        return vec
+    return fault
+
+
+def _indegree_vector_one_chip_more(original):
+    # the orientation divisor with one chip more at the first vertex
+    def fault(g, orient):
+        vec = original(g, orient)
+        vec[0] += 1
+        return vec
+    return fault
+
+
+def _key_correction_dropped(original):
+    # the closure's key steps add the packed step keys without subtracting
+    # e where a coordinate reached it, so its keys are never reduced
+    def fault(packed, keys, step_keys):
+        return [key + step for key in keys for step in step_keys]
     return fault
 
 
@@ -269,10 +286,14 @@ FAULTS = [
     pytest.param(bernardi, "_orient", _non_tree_edges_reversed,
                  {"tours", "reference-tours"}, id="non-tree-edges-reversed"),
     # one value read by the completeness and hat legs, and by the torsor
-    # action through `reduce`
-    pytest.param(bernardi, "tree_divisor", _tree_divisor_one_chip_more,
+    # action through `reduce`'s certificate: the vector core that both the
+    # completeness leg and `tree_divisor` call
+    pytest.param(bernardi, "_tree_vector", _tree_vector_one_chip_more,
                  {"completeness", "hat", "torsor"},
                  id="tree-divisor-one-chip"),
+    # only the hat leg reads the hat tours' orientation divisors
+    pytest.param(bernardi, "_indegree_vector", _indegree_vector_one_chip_more,
+                 {"hat"}, id="hat-orientation-one-chip"),
     pytest.param(bernardi, "torsor_act", _torsor_act_identity, {"torsor"},
                  id="torsor-act-identity"),
     pytest.param(selfcheck, "component_group", _last_representative_dropped,
@@ -303,6 +324,11 @@ FAULTS = [
     # of the completeness leg walks every class without the solver
     pytest.param(bernardi, "_box_offsets", _box_target_negated, {"torsor"},
                  id="box-target-negated"),
+    # unreduced keys grow without end, so the closure outgrows its e^k keys
+    # and raises: in the matrix-tree leg, which ends each graph's later legs,
+    # and in the torsor axioms' balanced group
+    pytest.param(picard, "_neighbour_keys", _key_correction_dropped,
+                 {"matrix-tree", "torsor"}, id="closure-key-correction-dropped"),
 ]
 
 
