@@ -42,6 +42,10 @@ def _load_json(path):
         raise GraphInputError(f"cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise GraphInputError(f"{path!r} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphInputError(f"{path!r} is not UTF-8 text: {exc}") from exc
+    except RecursionError:
+        raise GraphInputError(f"{path!r} nests its JSON too deeply") from None
 
 
 def _load_graph(path):
@@ -317,13 +321,31 @@ def _build_parser():
     p.add_argument("--max-edges", type=int, default=5)
     p.add_argument("--max-weight", type=int, default=3)
 
+    parser.subcommands = sub.choices  # name -> its parser, for `_parse`
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv):
+    """parse_args of the parser, by way of the subcommand's own parser when
+    argv starts with a subcommand's name: then the whole of argv after the
+    name is the subcommand's, and only its unrecognized arguments are left
+    for the top-level parser to reject.  The output and the exit are
+    those of parser.parse_args(argv), and so is the answer, less the
+    `command` name that no command reads, without the pass of the
+    top-level parser over every argument."""
     parser = _build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code or 0
     try:

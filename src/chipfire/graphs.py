@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .errors import GraphInputError, PreconditionError
@@ -36,8 +36,9 @@ def _json_key(x):
 
 
 def _distinct_json_keys(what, ids):
-    """Raises GraphInputError if two ids are written as the same JSON object
-    key (`_json_key`), such as 1 and "1"."""
+    """The table JSON key text (`_json_key`) -> id of the ids; raises
+    GraphInputError if two ids are written as the same JSON object key, such
+    as 1 and "1"."""
     seen = {}
     for x in ids:
         key = _json_key(x)
@@ -45,6 +46,18 @@ def _distinct_json_keys(what, ids):
             raise GraphInputError(f"{what} ids {seen[key]!r} and {x!r} are the "
                                   "same key in JSON output")
         seen[key] = x
+    return seen
+
+
+def _check_weights(what, weights, known):
+    """Raises GraphInputError at the first item of weights, in order, whose
+    id is not among the first `known` (the ids of the graph, which a dict
+    update keeps in front) or whose weight is not a positive int."""
+    for k, (x, w) in enumerate(weights.items()):
+        if k >= known:
+            raise GraphInputError(f"weight given for unknown {what} {x!r}")
+        if w.__class__ is not int or w < 1:  # the full check, off the common case
+            _positive_weight(what, x, w)
 
 
 def _find(parent, x):
@@ -99,52 +112,53 @@ class WeightedMultigraph:
         `edges` is a sequence of (edge_id, (u, v)).  Missing weights
         default to 1; a missing ribbon defaults to declaration order with
         a loop's two half-edges adjacent.
+
+        The first failing check raises, in this order: duplicate vertex
+        ids; per edge, a repeated id, a count of ends other than two, an
+        unknown end; per vertex, then per edge weight, an unknown id or a
+        weight that is not a positive int; two vertex ids, then two edge
+        ids, with one JSON key text; a ribbon that does not list every
+        vertex; the first vertex whose ribbon is not exactly its incident
+        half-edges.  The graph keeps the tables the checks build.
         """
         vertices = tuple(vertices)
-        if len(set(vertices)) != len(vertices):
+        index = {v: i for i, v in enumerate(vertices)}
+        if len(index) != len(vertices):
             raise GraphInputError("duplicate vertex ids")
-        vset = set(vertices)
-        edge_objs = []
-        seen = set()
+        edge_by_id, edge_ends = {}, {}
         for eid, ends in edges:
-            if eid in seen:
+            if eid in edge_by_id:
                 raise GraphInputError(f"duplicate edge id {eid!r}")
-            seen.add(eid)
             if len(ends) != 2:
                 raise GraphInputError(f"edge {eid!r} must have exactly two ends")
             u, v = ends
             try:
-                known = u in vset and v in vset
-            except TypeError:  # an unhashable end, as a JSON file may hold
-                known = False
-            if not known:
-                raise GraphInputError(f"edge {eid!r} has unknown endpoint")
-            edge_objs.append(Edge(eid, (u, v)))
-        edge_objs = tuple(edge_objs)
+                edge_ends[eid] = index[u], index[v]
+            except (KeyError, TypeError):  # TypeError: an unhashable end
+                raise GraphInputError(f"edge {eid!r} has unknown endpoint") from None
+            edge_by_id[eid] = Edge(eid, (u, v))
 
-        vw = {v: 1 for v in vertices}
+        vw = dict.fromkeys(vertices, 1)
         if vertex_weight:
             vw.update(vertex_weight)
-        ew = {e.id: 1 for e in edge_objs}
+        _check_weights("vertex", vw, len(vertices))
+        ew = dict.fromkeys(edge_by_id, 1)
         if edge_weight:
             ew.update(edge_weight)
-        for v, w in vw.items():
-            if v not in vset:
-                raise GraphInputError(f"weight given for unknown vertex {v!r}")
-            _positive_weight("vertex", v, w)
-        for eid, w in ew.items():
-            if eid not in seen:
-                raise GraphInputError(f"weight given for unknown edge {eid!r}")
-            _positive_weight("edge", eid, w)
-        _distinct_json_keys("vertex", vertices)
-        _distinct_json_keys("edge", [e.id for e in edge_objs])
+        _check_weights("edge", ew, len(edge_by_id))
+        vertex_by_key = _distinct_json_keys("vertex", vertices)
+        edge_by_key = _distinct_json_keys("edge", edge_by_id)
 
         if ribbon is None:
-            ribbon = cls._default_ribbon(vertices, edge_objs)
+            ribbon = cls._default_ribbon(vertices, edge_by_id.values())
         else:
             ribbon = {v: tuple(hs) for v, hs in ribbon.items()}
-        cls._check_ribbon(vertices, edge_objs, ribbon)
-        return cls(vertices, vw, edge_objs, ew, ribbon)
+            cls._check_ribbon(vertices, edge_ends, ribbon)
+        g = cls(vertices, vw, tuple(edge_by_id.values()), ew, ribbon)
+        g.__dict__.update(vertex_index=index, edge_by_id=edge_by_id,
+                          edge_ends=edge_ends, vertex_by_key=vertex_by_key,
+                          edge_by_key=edge_by_key)
+        return g
 
     @staticmethod
     def _default_ribbon(vertices, edges):
@@ -158,23 +172,31 @@ class WeightedMultigraph:
         return {v: tuple(hs) for v, hs in ribbon.items()}
 
     @staticmethod
-    def _check_ribbon(vertices, edges, ribbon):
-        expected = {v: set() for v in vertices}
-        for e in edges:
-            expected[e.ends[0]].add((e.id, 0))
-            expected[e.ends[1]].add((e.id, 1))
-        if set(ribbon) != set(vertices):
+    def _check_ribbon(vertices, edge_ends, ribbon):
+        """Raises GraphInputError unless the ribbon lists every vertex, each
+        with exactly its incident half-edges; edge_ends is edge id -> the
+        indices of its two ends."""
+        if len(ribbon) != len(vertices) or not all(v in ribbon for v in vertices):
             raise GraphInputError("ribbon must list every vertex exactly once")
-        for v in vertices:
+        unseen = {}  # half-edge not yet met in the walk -> its vertex's index
+        degree = [0] * len(vertices)
+        for eid, (i, j) in edge_ends.items():
+            unseen[eid, 0] = i
+            unseen[eid, 1] = j
+            degree[i] += 1
+            degree[j] += 1
+        for i, v in enumerate(vertices):
             hs = ribbon[v]
-            if len(hs) != len(set(hs)) or set(hs) != expected[v]:
+            # a repeat finds its half-edge gone
+            if len(hs) != degree[i] or any(unseen.pop(h, None) != i for h in hs):
                 raise GraphInputError(
                     f"ribbon at {v!r} must contain exactly the incident half-edges")
 
     # -- derived tables ---------------------------------------------------
     # Each table is built on first use and kept in the instance __dict__,
     # which cached_property writes directly, so the frozen dataclass allows
-    # it.  No caller mutates a graph's fields, so no table goes stale;
+    # it; `build` puts there the five that its checks make on the way.  No
+    # caller mutates a graph's fields, so no table goes stale;
     # `forget_tables` drops them all.
 
     @cached_property
@@ -271,10 +293,11 @@ class WeightedMultigraph:
 
 
 def forget_tables(g):
-    """Drop every derived table cached on g; each rebuilds on its next use."""
-    for name, attr in vars(type(g)).items():
-        if isinstance(attr, cached_property):
-            g.__dict__.pop(name, None)
+    """Drop every derived table cached on g; each rebuilds on its next use.
+    g gets a new instance dict of its fields alone, since a dict keeps the
+    size it grew to when keys are popped from it."""
+    object.__setattr__(g, "__dict__",
+                       {f.name: getattr(g, f.name) for f in fields(g)})
 
 
 @dataclass(frozen=True)

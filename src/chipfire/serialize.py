@@ -7,6 +7,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import GraphInputError
 from .graphs import WeightedMultigraph, _json_key, is_int
@@ -33,23 +34,31 @@ def halfedge_from_json(edge_by_key, token):
     return graph_id(edge_by_key, token)
 
 
-def _ribbon_halfedge(token, at_vertex, edge_by_key, ends_by_id):
-    h = halfedge_from_json(edge_by_key, token)
-    if isinstance(h, tuple):
-        return h
-    try:
-        ends = ends_by_id[h]
-    except (KeyError, TypeError):  # TypeError: an unhashable token
-        raise GraphInputError(f"ribbon mentions unknown edge {token!r}") from None
-    if ends[0] == ends[1]:
-        key = _json_key(h)
-        raise GraphInputError(
-            f"loop {h!r} must appear in the ribbon as '{key}:0' and '{key}:1'")
-    if at_vertex == ends[0]:
-        return (h, 0)
-    if at_vertex == ends[1]:
-        return (h, 1)
-    raise GraphInputError(f"ribbon lists {h!r} at a non-endpoint vertex")
+def _ribbon_halfedges(tokens, at_vertex, edge_by_key, ends_by_id):
+    """The half-edges that a vertex's ribbon tokens name: each token as
+    `halfedge_from_json` reads it, and an edge id that it names taken at
+    the side where at_vertex is, which must be the edge's one end."""
+    hs = []
+    for token in tokens:
+        h = halfedge_from_json(edge_by_key, token)
+        if isinstance(h, tuple):
+            hs.append(h)
+            continue
+        try:
+            ends = ends_by_id[h]
+        except (KeyError, TypeError):  # TypeError: an unhashable token
+            raise GraphInputError(f"ribbon mentions unknown edge {token!r}") from None
+        if ends[0] == ends[1]:
+            key = _json_key(h)
+            raise GraphInputError(
+                f"loop {h!r} must appear in the ribbon as '{key}:0' and '{key}:1'")
+        if at_vertex == ends[0]:
+            hs.append((h, 0))
+        elif at_vertex == ends[1]:
+            hs.append((h, 1))
+        else:
+            raise GraphInputError(f"ribbon lists {h!r} at a non-endpoint vertex")
+    return tuple(hs)
 
 
 def graph_to_obj(g: WeightedMultigraph):
@@ -85,8 +94,7 @@ def graph_from_obj(obj) -> WeightedMultigraph:
         edge = {_json_key(eid): eid for eid, _ in edges}
         ends_by_id = dict(edges)
         ribbon = {graph_id(vertex, v): tokens for v, tokens in ribbon.items()}
-        ribbon = {v: tuple(_ribbon_halfedge(tok, v, edge, ends_by_id)
-                           for tok in tokens)
+        ribbon = {v: _ribbon_halfedges(tokens, v, edge, ends_by_id)
                   for v, tokens in ribbon.items()}
     return WeightedMultigraph.build(vertices, edges, vw, ew, ribbon)
 
@@ -173,15 +181,81 @@ def group_to_obj(s: AbelianGroupStructure):
 
 
 def dumps(obj):
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    """json.dumps(obj, indent=2) + "\n", written without the stdlib's
+    encoder: given an indent, json uses its pure-Python encoder, whose
+    generators cost more than the text they write.  As in json, strings
+    are escaped to ASCII, floats are written by their repr (the special
+    values as NaN, Infinity and -Infinity), tuples are arrays and object
+    keys may be str, int, float, bool or None.  Unlike json, it does not
+    look for circular references: every value this module writes is a
+    tree."""
+    return _value(obj, "\n") + "\n"
+
+
+_INF = float("inf")
+
+
+def _scalar(x):
+    """The JSON text of None, a bool, an int or a float."""
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == _INF:
+            return "Infinity"
+        if x == -_INF:
+            return "-Infinity"
+        return float.__repr__(x)
+    raise TypeError(f"Object of type {x.__class__.__name__} "
+                    "is not JSON serializable")
+
+
+def _key(k):
+    """An object key's JSON text, quoted: json writes a key that is not a
+    str as the quoted text of its value."""
+    if isinstance(k, str):
+        return _quote(k)
+    if k is None or isinstance(k, (int, float)):
+        return '"' + _scalar(k) + '"'
+    raise TypeError("keys must be str, int, float, bool or None, not "
+                    f"{k.__class__.__name__}")
+
+
+def _value(o, pad):
+    """The JSON text of o as json.dumps(o, indent=2) writes it on a line
+    that starts with pad, a newline and the indent."""
+    if o.__class__ is int:  # the common leaf, ahead of the general tests
+        return int.__repr__(o)
+    if isinstance(o, str):
+        return _quote(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        return ("{" + inner + ("," + inner).join(
+            [_key(k) + ": " + _value(v, inner) for k, v in o.items()])
+                + pad + "}")
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        return ("[" + inner + ("," + inner).join([_value(x, inner) for x in o])
+                + pad + "]")
+    return _scalar(o)
 
 
 def _member(key, value, depth):
     """`key: value` of an object whose members `dumps` indents by depth,
     preceded by its newline and indent."""
     pad = "\n" + " " * depth
-    return (f"{pad}{json.dumps(_json_key(key))}: "
-            + json.dumps(value, indent=2).replace("\n", pad))
+    return pad + _key(key) + ": " + _value(value, pad)
 
 
 def write_representatives(write, g, roots, starts, subweightings, before=(),

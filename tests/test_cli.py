@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from chipfire import WeightedMultigraph, bernardi, picard, serialize
-from chipfire.cli import main
+from chipfire.cli import _build_parser, _parse, main
 from chipfire.errors import InternalError
 from chipfire.graphs import is_int
 
@@ -30,8 +30,12 @@ def tw_file(tmp_path):
 
 
 def _write(tmp_path, name, obj):
+    """A file of obj's JSON text, or of obj itself if it is bytes."""
     path = tmp_path / name
-    path.write_text(json.dumps(obj))
+    if isinstance(obj, bytes):
+        path.write_bytes(obj)
+    else:
+        path.write_text(json.dumps(obj))
     return str(path)
 
 
@@ -214,6 +218,60 @@ def test_reused_parser_keeps_usage_errors_and_help(tw_file, capsys):
         assert code == 0
         helps.append(out)
     assert helps[0] == helps[1] and helps[0].startswith("usage: chipfire rewrite")
+
+
+DISPATCH = {
+    "help": ["-h"],
+    "no-arguments": [],
+    "unknown-subcommand": ["frobnicate", "--graph", "g.json"],
+    "missing-required-option": ["group", "--pic0"],
+    "option-missing-its-value": ["validate", "--graph"],
+    "bad-choice": ["validate", "--graph", "g.json", "--format", "xml"],
+    "bad-int": ["selfcheck", "--seed", "x"],
+    "trailing-unknown-after-validate": ["validate", "--graph", "g.json", "--bogus"],
+    "trailing-unknowns-after-add-leaf": [
+        "rewrite", "--graph", "g.json", "add-leaf", "--vertex", "v1", "x",
+        "--bogus"],
+    "unknown-before-rewrite-named": ["rewrite", "--bogus", "--graph", "g.json",
+                                     "shrink", "--vertex", "v", "--weight", "1"],
+    "option-before-subcommand": ["--graph", "g.json", "validate"],
+    "pic0-and-picb0": ["count", "--graph", "g.json", "--pic0", "--picb0"],
+    "no-rewrite-named": ["rewrite", "--graph", "g.json"],
+    "subcommand-help": ["rewrite", "--help"],
+    "rewrite-help": ["rewrite", "--graph", "g.json", "split-vertex", "-h"],
+}
+
+
+def _exit_of(call):
+    """call()'s exit code, as main returns it, or 0 if it returns."""
+    try:
+        call()
+    except SystemExit as exc:
+        return exc.code or 0
+    return 0
+
+
+@pytest.mark.parametrize("argv", DISPATCH.values(), ids=DISPATCH)
+def test_dispatch_answers_as_the_top_level_parser(capsys, argv):
+    # main hands argv to the subcommand's parser; every usage error and
+    # help text must stay that of the top-level parser's parse_args
+    want = (_exit_of(lambda: _build_parser().parse_args(argv)),
+            *capsys.readouterr())
+    assert _run(capsys, *argv) == want
+    assert want[0] == 0 or want[2].startswith("usage: chipfire")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--graph", "g.json"],
+    ["count", "--graph", "g.json", "--picb0", "--json"],
+    ["rewrite", "--format", "dot", "--graph", "g.json", "split-edge",
+     "--edge", "7", "--parts", "2,2"],
+    ["selfcheck", "--max-vertices", "2"],
+])
+def test_dispatch_parses_as_the_top_level_parser(argv):
+    want = vars(_build_parser().parse_args(argv))
+    assert want.pop("command") == argv[0]
+    assert vars(_parse(argv)) == want
 
 
 def test_validate_output_does_not_depend_on_the_hash_seed(tmp_path):
@@ -516,6 +574,8 @@ TWIN_EDGES = {"vertices": [{"id": "u"}, {"id": "v"}],
     _group({**TW_OBJ, "edges": [{"id": "a", "ends": ["v1"]}]}, "ends-one"),
     _group({**TW_OBJ, "edges": [{"id": "a", "ends": ["v1", "v2", "v3"]}]},
            "ends-three"),
+    _group(b"\xff\xfe" + json.dumps(TW_OBJ).encode(), "not-utf-8"),
+    _group(b"[" * 2000 + b"]" * 2000, "nested-2000-deep"),
     pytest.param("fiber", {"--fiber": {
         "components": [{"id": "C"}],
         "nodes": [{"id": "p", "ends": ["C", "C"], "degree": "x"}]}}, [],
@@ -568,6 +628,51 @@ def test_malformed_input_exits_1(tmp_path, capsys, command, files, extra):
         assert "--start" in err and "--root" in err
     if command == "selfcheck":
         assert extra[0] in err
+
+
+@pytest.mark.parametrize("graph, argv, files", [
+    (TW_OBJ, ["validate"], {}),
+    ({"vertices": [{"id": "p", "weight": 2}, {"id": 'q"é', "weight": 2}],
+        "edges": [{"id": "e", "ends": ["p", 'q"é'], "weight": 3}]},
+     ["validate"], {}),
+    (TW_OBJ, ["genus", "--json"], {}),
+    (TW_OBJ, ["group", "--picb0"], {}),
+    (TW_OBJ, ["count", "--json"], {}),
+    (TW_OBJ, ["laplacian"], {}),
+    (TW_OBJ, ["laplacian"],
+     {"--divisor": {"potential": {"v1": 1, "v2": 0, "v3": -2}}}),
+    (TW_OBJ, ["reduce"], {"--divisor": DEGREE_1}),
+    (TW_OBJ, ["act"], {"--divisor": ZERO, "--tree": TREE}),
+    (TW_OBJ, ["expand"], {}),
+    (NUMERIC, ["reduce", "--root", "2", "--start", "7"],
+     {"--divisor": {"coefficients": {"a": 1, "2": 2}}}),
+    (ODD_IDS, ["expand"], {}),
+    (ODD_IDS, ["rewrite", "add-leaf", "--vertex", "true", "--edge-weight", "2"],
+     {}),
+    (LOOPS, ["rewrite", "shrink", "--vertex", "u", "--weight", "1"], {}),
+    (LOOPS, ["reduce", "--root", "u", "--start", "true:0"],
+     {"--divisor": {"coefficients": {"u": 5, "v": 0}}}),
+], ids=["validate", "validate-issues", "genus", "group", "count", "laplacian",
+        "laplacian-potential", "reduce", "act", "expand", "reduce-numeric",
+        "expand-odd-ids", "add-leaf", "shrink", "reduce-loop-start"])
+def test_every_output_is_what_json_dumps_writes(tmp_path, capsys, monkeypatch,
+                                                graph, argv, files):
+    # trees and fiber stream their text; test_serialize holds it to dumps
+    dumps, written = serialize.dumps, []
+
+    def checked(obj):
+        text = dumps(obj)
+        assert text == json.dumps(obj, indent=2) + "\n"
+        written.append(text)
+        return text
+
+    monkeypatch.setattr(serialize, "dumps", checked)
+    argv = [argv[0], "--graph", _write(tmp_path, "g.json", graph), *argv[1:]]
+    for k, (flag, obj) in enumerate(files.items()):
+        argv += [flag, _write(tmp_path, f"in{k}.json", obj)]
+    code, out, err = _run(capsys, *argv)
+    assert code == 0, err
+    assert written == [out]
 
 
 @pytest.mark.parametrize("fiber, message", [

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 
@@ -65,6 +66,15 @@ def test_forget_tables_drops_every_table(tw):
     assert tw.laplacian_matrix() == laplacian
 
 
+def test_forget_tables_leaves_a_dict_of_the_fields_alone():
+    # a dict keeps the size it grew to when keys are popped from it, so
+    # every graph the sweep saw would keep its tables' slots
+    graphs = list(pleasant_family(max_vertices=3, max_edges=3, max_weight=2))[::50]
+    sweep_family(graphs)
+    fresh = sys.getsizeof({name: None for name in FIELDS})
+    assert {sys.getsizeof(vars(g)) for g in graphs} == {fresh}
+
+
 @pytest.mark.parametrize("reducer_fails", [False, True])
 def test_sweep_forgets_the_tables_of_its_graphs(monkeypatch, reducer_fails):
     family = list(pleasant_family(max_vertices=3, max_edges=3, max_weight=2))
@@ -92,6 +102,130 @@ def test_sweep_past_the_desk_family():
         assert results[name].passed, results[name].detail
     stats = results["_stats"]
     assert stats.shrink_checks > 0 and stats.vertex_split_checks > 0
+
+
+def _vertices(*ids, **weights):
+    return [{"id": v, **({"weight": weights[v]} if v in weights else {})}
+            for v in ids]
+
+
+def _edges(*specs):
+    return [{"id": eid, "ends": list(ends),
+             **({"weight": w} if w is not None else {})}
+            for eid, ends, w in specs]
+
+
+UV = _vertices("u", "v")
+UVW = _vertices("u", "v", "w")
+PATH = _edges(("e", "uv", None), ("f", "vw", None))
+
+# graph objects that each break two rules, and the message of the rule
+# that `build` (or `graph_from_obj`, for ends and ribbon tokens) checks first
+TWO_FAULTS = {
+    "duplicate-vertex-and-bad-weight": (
+        {"vertices": [{"id": "u", "weight": 0}, {"id": "u"}], "edges": []},
+        "duplicate vertex ids"),
+    "duplicate-edge-and-bad-weight": (
+        {"vertices": UV, "edges": _edges(("e", "uv", 0), ("e", "uv", None))},
+        "duplicate edge id 'e'"),
+    "duplicate-edge-with-unknown-end": (
+        {"vertices": UV, "edges": _edges(("e", "uv", None), ("e", "uz", None))},
+        "duplicate edge id 'e'"),
+    "three-ends-and-unknown-end": (
+        {"vertices": UV, "edges": _edges(("e", "uz", None), ("f", "uvu", None))},
+        "edge 'f' needs a list of two ends"),
+    "unknown-end-and-bad-vertex-weight": (
+        {"vertices": _vertices("u", "v", v=0), "edges": _edges(("e", "uz", None))},
+        "edge 'e' has unknown endpoint"),
+    "bad-vertex-weight-and-bad-edge-weight": (
+        {"vertices": _vertices("u", "v", v=True), "edges": _edges(("e", "uv", 0))},
+        "vertex weight at 'v' must be a positive integer"),
+    "two-bad-vertex-weights": (
+        {"vertices": _vertices("u", "v", u=True, v=0), "edges": []},
+        "vertex weight at 'u' must be a positive integer"),
+    "edge-weight-true-and-twin-vertex-keys": (
+        {"vertices": _vertices(1, "1"), "edges": _edges(("e", [1, "1"], True))},
+        "edge weight at 'e' must be a positive integer"),
+    "twin-vertex-keys-and-twin-edge-keys": (
+        {"vertices": _vertices(1, "1"),
+         "edges": _edges((3, [1, "1"], None), ("3", [1, 1], None))},
+        "vertex ids 1 and '1' are the same key in JSON output"),
+    "twin-edge-keys-and-bad-ribbon": (
+        {"vertices": UV, "edges": _edges((3, "uv", None), ("3", "uv", None)),
+         "ribbon": {"u": [3], "v": []}},
+        "edge ids 3 and '3' are the same key in JSON output"),
+    "twin-vertex-keys-and-bad-ribbon": (
+        {"vertices": _vertices(1, "1"), "edges": _edges(("e", [1, "1"], None)),
+         "ribbon": {"1": []}},
+        "vertex ids 1 and '1' are the same key in JSON output"),
+    "unknown-ribbon-token-and-twin-edge-keys": (
+        {"vertices": UV, "edges": _edges((3, "uv", None), ("3", "uv", None)),
+         "ribbon": {"u": ["zz"], "v": []}},
+        "ribbon mentions unknown edge 'zz'"),
+    "ribbon-omits-vertex-and-bad-ribbon": (
+        {"vertices": UVW, "edges": _edges(("e", "uv", None)),
+         "ribbon": {"u": [], "v": ["e"]}},
+        "ribbon must list every vertex exactly once"),
+    "ribbon-extra-vertex-and-bad-weight": (
+        {"vertices": _vertices("u", "v", u=0), "edges": _edges(("e", "uv", None)),
+         "ribbon": {"u": ["e"], "v": ["e"], "w": []}},
+        "vertex weight at 'u' must be a positive integer"),
+    "ribbon-repeat-then-missing": (
+        {"vertices": UVW, "edges": PATH,
+         "ribbon": {"u": ["e", "e"], "v": ["e"], "w": ["f"]}},
+        "ribbon at 'u' must contain exactly the incident half-edges"),
+    "ribbon-missing-then-repeat": (
+        {"vertices": UVW, "edges": PATH,
+         "ribbon": {"u": ["e"], "v": ["e"], "w": ["f", "f"]}},
+        "ribbon at 'v' must contain exactly the incident half-edges"),
+    "ribbon-loop-half-twice": (
+        {"vertices": UV, "edges": _edges(("l", "uu", None), ("e", "uv", None)),
+         "ribbon": {"u": ["l:0", "l:0", "e"], "v": ["e"]}},
+        "ribbon at 'u' must contain exactly the incident half-edges"),
+    "ribbon-token-off-edge-and-missing": (
+        {"vertices": UVW, "edges": PATH,
+         "ribbon": {"u": ["e"], "v": ["f", "e"], "w": ["e"]}},
+        "ribbon lists 'e' at a non-endpoint vertex"),
+}
+
+
+@pytest.mark.parametrize("obj, message", TWO_FAULTS.values(), ids=TWO_FAULTS)
+def test_the_first_rule_a_graph_object_breaks_names_the_error(obj, message):
+    with pytest.raises(GraphInputError) as info:
+        serialize.graph_from_obj(obj)
+    assert str(info.value) == message
+
+
+E1 = [("e", ("u", "v"))]
+
+
+@pytest.mark.parametrize("args, message", [
+    ((["u", "v"], E1, {"zz": 1, "v": 0}),
+     "vertex weight at 'v' must be a positive integer"),
+    ((["u", "v"], E1, None, {"zz": 0, "e": 1}),
+     "weight given for unknown edge 'zz'"),
+    (([1, "1"], [("e", (1, "1"))], None, {"f": 1}),
+     "weight given for unknown edge 'f'"),
+    ((["u", "v"], [("e", ("u", "v", "u")), ("f", ("u", "zz"))]),
+     "edge 'e' must have exactly two ends"),
+    ((["u", "v"], [("e", ("u", ["v"])), ("f", ("u", "v", "u"))]),
+     "edge 'e' has unknown endpoint"),
+    ((["u", "v"], E1, {"u": -1}, None, {}),
+     "vertex weight at 'u' must be a positive integer"),
+    ((["u", "v"], E1, None, None, {"u": [("e", 0)], "zz": [("e", 1)]}),
+     "ribbon must list every vertex exactly once"),
+    ((["u", "v"], E1, None, None, {"u": [("e", 1)], "v": [("e", 0)]}),
+     "ribbon at 'u' must contain exactly the incident half-edges"),
+    ((["u", "v"], E1, None, None, {"u": [("e", 0)], "v": [("e", 2)]}),
+     "ribbon at 'v' must contain exactly the incident half-edges"),
+], ids=["unknown-vertex-weight-after-bad-weight", "unknown-edge-weight",
+        "unknown-edge-weight-and-twin-vertex-keys", "three-ends-then-unknown-end",
+        "unhashable-end-then-three-ends", "empty-ribbon-and-bad-weight",
+        "ribbon-unknown-vertex", "ribbon-halves-swapped", "ribbon-side-2"])
+def test_the_first_rule_a_build_breaks_names_the_error(args, message):
+    with pytest.raises(GraphInputError) as info:
+        WeightedMultigraph.build(*args)
+    assert str(info.value) == message
 
 
 def test_default_ribbon_keeps_loop_halves_adjacent():

@@ -2,6 +2,8 @@
 
 import io
 import json
+import random
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -127,3 +129,63 @@ def test_writer_edge_cases():
     for g in (one, two, unbalanced):
         assert (_written(g, True, before=before, after=after)
                 == _dumped(g, True, before=before, after=after))
+
+
+class _Int(int):
+    def __repr__(self):  # json writes a subclass by int's repr
+        return "not JSON"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not JSON"
+
+
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+# leaves json writes in every form: escapes, non-ASCII, a lone surrogate,
+# a %, ints past 64 bits, bools, null, the floats it spells out and
+# subclasses of str, int and float
+STRINGS = ["", "a", 'q"', "b\\", "é", "☃", "\U0001f600", "\ud800", "%d",
+           "\n\t\x00\x1f\x7f", "\u2028", "</script>", _Str("s")]
+SCALARS = [0, 1, -3, 2**70, -(2**64), True, False, None, 0.0, -0.0, 2.5, 1e300,
+           -1e-300, 1 / 3, float("inf"), float("-inf"), float("nan"), _Int(5),
+           _Float(2.5)]
+KEYS = STRINGS + [0, 7, -2, 2**65, 2.5, -0.0, float("inf"), True, False, None]
+
+
+def _random_value(rng, depth):
+    kind = rng.randrange(7 if depth else 2)
+    if kind == 0:
+        return rng.choice(STRINGS)
+    if kind == 1:
+        return rng.choice(SCALARS)
+    size = rng.choice([0, 0, 1, 2, 3, 5])
+    if kind < 5:
+        items = [_random_value(rng, depth - 1) for _ in range(size)]
+        return (list, tuple, _List)[kind - 2](items)
+    items = {rng.choice(KEYS): _random_value(rng, depth - 1) for _ in range(size)}
+    return items if kind == 5 else OrderedDict(items)
+
+
+def test_dumps_matches_json_dumps_on_random_values():
+    rng = random.Random(28)
+    for _ in range(3000):
+        value = _random_value(rng, rng.randrange(5))
+        assert dumps(value) == json.dumps(value, indent=2) + "\n", value
+
+
+@pytest.mark.parametrize("value", [{1, 2}, [b"x"], {"k": object()}, {(1,): 2},
+                                   {b"k": 1}])
+def test_dumps_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        dumps(value)
+    assert str(got.value) == str(want.value)
