@@ -14,10 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import sub
 
-from .divisors import (Divisor, LaplacianSystem, _PackedResidues,
-                       check_on_graph, degree, equivalent, require_pleasant)
+from .divisors import (Divisor, LaplacianSystem, check_on_graph, degree,
+                       equivalent, require_pleasant)
 from .errors import GraphInputError, InternalError, PreconditionError
 from .graphs import component_genera, is_int
 from .trees import enumerate_forests, is_maximal_forest, iter_forests
@@ -337,17 +336,6 @@ def enumerate_subweightings(g, T, balanced_only=False, roots=None, starts=None):
                                        balanced_only)]
 
 
-def _unit_residues(g, system):
-    """The key part X e_v mod e of each vertex's unit divisor, in vertex
-    order: column v of X, and zeros at a root."""
-    e = system.e
-    zero = (0,) * len(system.X)
-    unit = [zero] * g.n
-    for c, i in enumerate(system.keep):
-        unit[i] = tuple([row[c] % e for row in system.X])
-    return unit
-
-
 def _box_offsets(steps, sizes, want, packed):
     """Offsets c with 0 <= c_j < sizes[j] and sum_j c_j steps[j] = want,
     as vectors packed by `packed`, or None when there are none.
@@ -375,21 +363,17 @@ def _box_offsets(steps, sizes, want, packed):
         elif w > 1:
             giant.append((j, 1, w))
     baby += split  # r varies slowest
-    e, high, bias, shift = packed.e, packed.high, packed.bias, packed.width - 1
 
     def sums(dims, start, negate):
-        # the first dim varies fastest; each block is the one before plus
-        # step, by `packed.add` written out
+        # the first dim varies fastest; each block is the one before plus step
         out = [start]
         for j, mult, size in dims:
-            step = steps[j] if mult == 1 else packed.pack(
-                [mult * c for c in packed.unpack(steps[j])])
+            step = steps[j] if mult == 1 else packed.scale(steps[j], mult)
             if negate:
                 step = packed.neg(step)
             block = out
             for _ in range(size - 1):
-                block = [s - (((s + bias) & high) >> shift) * e
-                         for s in map(step.__add__, block)]
+                block = packed.shift([step], block)
                 out += block
         return out
 
@@ -408,10 +392,10 @@ def _box_offsets(steps, sizes, want, packed):
     return None
 
 
-def _subweighting_in_class(g, system, starts, vec):
+def _subweighting_in_class(g, system, starts, residue):
     """(forest, sigma on the forest) of the sub-weighted maximal forest,
-    toured from resolved starts, whose tree divisor has the key part of
-    the int vector vec (in vertex order), or None.
+    toured from resolved starts, whose tree divisor has the key part
+    `residue` of g's LaplacianSystem `system`, or None.
 
     The key part is linear, so with U_v the key part of vertex v's unit
     divisor, an edge oriented tail -> head adds w U_head to the tree
@@ -421,25 +405,24 @@ def _subweighting_in_class(g, system, starts, vec):
     terms and `_box_offsets` solves for sigma - 1 in the forest's box.
     Distinct sub-weighted forests lie in distinct classes, so the first
     forest with a solution holds the only one."""
-    unit = _unit_residues(g, system)
+    packed = system.packed
     index = g.vertex_index
-    packed = _PackedResidues(len(system.X), system.e, len(g.edges) + g.n + 1)
     off, fix, step = {}, {}, {}
     for e in g.edges:
         w = g.edge_weight[e.id]
         for ends in {e.ends, e.ends[::-1]}:
-            tail, head = (unit[index[v]] for v in ends)
-            diff = list(map(sub, head, tail))
-            off[e.id, ends] = packed.pack([-w * c for c in head])
-            fix[e.id, ends] = packed.pack([(w - 1) * c for c in diff])
-            step[e.id, ends] = packed.pack(diff)
-    base = packed.pack(system.vector_key(
-        [c + g.vertex_weight[v] for c, v in zip(vec, g.vertices)])[1])
+            tail, head = map(index.__getitem__, ends)
+            off[e.id, ends] = system.pair_key(head, -w, tail, 0)
+            fix[e.id, ends] = system.pair_key(tail, 1 - w, head, w - 1)
+            step[e.id, ends] = system.pair_key(tail, -1, head, 1)
+    # D + W, W the vertex weights; `packed` holds 2 + |E| + |forest| terms
+    base = residue + system.vector_key(
+        [g.vertex_weight[v] for v in g.vertices])[1]
     for forest in iter_forests(g):
         orient = _orient(g, forest, starts)
         on_forest = list(zip(forest, map(orient.__getitem__, forest)))
         want = packed.canonical(base + sum(map(off.__getitem__, orient.items()))
-                             + sum(map(fix.__getitem__, on_forest)))
+                                + sum(map(fix.__getitem__, on_forest)))
         offsets = _box_offsets(list(map(step.__getitem__, on_forest)),
                                list(map(g.edge_weight.__getitem__, forest)),
                                want, packed)
@@ -451,27 +434,22 @@ def _subweighting_in_class(g, system, starts, vec):
 def _keyed_subweightings(g, system, starts):
     """(class key, forest, sigma on the forest) of every sub-weighted
     maximal forest, in (forest, sigma)-lexicographic order, toured from
-    resolved starts: the walk that builds `BernardiReducer`'s table, one
-    residue tuple per sub-weighting.  `system` is g's LaplacianSystem; its
-    key part X D_r mod e is linear in D, and a unit of sigma on a forest
-    edge adds e_head - e_tail to D."""
-    e = system.e
-    unit = _unit_residues(g, system)
+    resolved starts: the walk that builds `BernardiReducer`'s table.
+    `system` is g's LaplacianSystem; its key part is linear in D, and a
+    unit of sigma on a forest edge adds e_head - e_tail to D, so each key
+    so far is followed by it plus 1, ..., w - 1 such units."""
+    packed = system.packed
     index = g.vertex_index
     for forest in enumerate_forests(g):
         orient = _orient(g, forest, starts)
         degrees, residue = system.vector_key(_unit_vector(g, forest, orient))
         residues = [residue]
         for eid in forest:
-            tail, head = orient[eid]
-            diff = list(map(sub, unit[index[head]], unit[index[tail]]))
-            out = []
-            for r in residues:
-                out.append(r)
-                for _ in range(g.edge_weight[eid] - 1):
-                    r = tuple([(c + d) % e for c, d in zip(r, diff)])
-                    out.append(r)
-            residues = out
+            if g.edge_weight[eid] > 1:
+                tail, head = map(index.__getitem__, orient[eid])
+                residues = packed.shift(residues, [0] + [
+                    system.pair_key(tail, -c, head, c)
+                    for c in range(1, g.edge_weight[eid])])
         combos = itertools.product(*(range(1, g.edge_weight[eid] + 1)
                                      for eid in forest))
         for y, combo in zip(residues, combos):
@@ -568,11 +546,11 @@ def reduce(g, D, roots=None, starts=None):
     if len(want) == 1 and degree(D) != want[0]:
         raise PreconditionError(f"reduce needs degree {want[0]}, got {degree(D)}")
     system = LaplacianSystem(g)
-    key = system.class_key(D)
-    if key[0] != want:
+    degrees, residue = system.class_key(D)
+    if degrees != want:
         raise PreconditionError(
             "no representative: per-component degrees must equal genus - 1")
-    found = _subweighting_in_class(g, system, starts, D.vector(g))
+    found = _subweighting_in_class(g, system, starts, residue)
     if found is None:
         raise InternalError("no sub-weighted forest lands in the class of a "
                             "divisor of the right degrees; completeness is violated")
@@ -586,6 +564,7 @@ def reduce(g, D, roots=None, starts=None):
 
 def torsor_act(g, D0, ts: SubweightedTree) -> SubweightedTree:
     """Translate the sub-weighted tree ts by the degree-0 class of D0."""
+    check_on_graph(g, D0)  # D0 + a tree divisor would turn True into 1
     if any(sum(D0.coefficients.get(v, 0) for v in comp) for comp in g.components()):
         raise PreconditionError(
             "torsor action needs a divisor of degree 0 on each component")

@@ -17,7 +17,7 @@ from .divisors import check_on_graph, laplacian
 from .errors import GraphInputError, InternalError, PreconditionError
 from .fibers import (SpecialFiberDescription, component_group_structure,
                      dual_graph, phi_note)
-from .graphs import (add_leaf, component_genera, expand_hat,
+from .graphs import (MALFORMED_PLAN, add_leaf, component_genera, expand_hat,
                      shrink_vertex_weight, split_edge, split_vertex,
                      validate, weighted_genus)
 from .selfcheck import run_selfcheck
@@ -197,15 +197,8 @@ def _cmd_rewrite(args):
     else:  # split-vertex
         plan = _load_json(args.plan)
         parts = plan.get("parts") if isinstance(plan, dict) else None
-        if not isinstance(parts, dict) or not all(
-                isinstance(ps, list) and all(
-                    isinstance(p, list) and len(p) == 2
-                    and (not isinstance(p[0], list) or len(p[0]) == 2)
-                    for p in ps)
-                for ps in parts.values()):
-            raise GraphInputError(
-                'malformed split plan: "parts" must map edge ids to lists of '
-                "[copy, weight], with a pair of copies for a loop")
+        if not isinstance(parts, dict):  # `split_vertex` checks the parts
+            raise GraphInputError(MALFORMED_PLAN)
         out = split_vertex(g, v, args.copies,
                            {serialize.graph_id(g.edge_by_key, eid): ps
                             for eid, ps in parts.items()})[0]

@@ -8,7 +8,7 @@ from operator import mul
 
 from . import intlinalg
 from .errors import GraphInputError, InternalError, PreconditionError
-from .graphs import WeightedMultigraph, is_pleasant
+from .graphs import WeightedMultigraph, is_int, is_pleasant
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,14 @@ class Divisor:
 
 def check_on_graph(g, D, what="divisor"):
     """Raises GraphInputError if the divisor (or potential) D names a
-    vertex that g does not have."""
+    vertex that g does not have or has a coefficient that is not an int
+    (a bool is not)."""
     extra = set(D.coefficients) - set(g.vertices)
     if extra:
         raise GraphInputError(
             f"{what} mentions unknown vertices {sorted(extra, key=repr)}")
+    if not all(map(is_int, D.coefficients.values())):
+        raise GraphInputError(f"{what} coefficients must be integers")
 
 
 def degree(D: Divisor) -> int:
@@ -112,76 +115,97 @@ class LaplacianSystem:
     A divisor D is principal iff its degree on every component is 0 and
     X D_r is divisible by e, where D_r drops the roots' coefficients, so
     two divisors are chip-firing equivalent iff their keys (per-component
-    degrees and X D_r mod e) agree.  Keys are taken of int vectors in
-    vertex order (`vector_key`) or of divisors (`class_key`); the key part
-    X D_r mod e is linear in the vector.  Certificates come from
-    `equivalent`, which solves its own system.
+    degrees, X D_r mod e packed by `packed`) agree.  Keys are taken of int
+    vectors in vertex order (`vector_key`) or of divisors (`class_key`);
+    the key part X D_r mod e is linear in the vector.  Only this module
+    makes and steps keys.  Certificates come from `equivalent`, which
+    solves its own system.
     """
 
     def __init__(self, g: WeightedMultigraph):
         self.g = g
-        Lr, self.keep = reduced_laplacian(g)
-        self.X, self.e = intlinalg.inverse(Lr)
+        Lr, keep = reduced_laplacian(g)
+        X, self.e = intlinalg.inverse(Lr)
+        # wide enough for every sum of keys that `bernardi.reduce` takes
+        self.packed = _PackedResidues(len(X), self.e, len(g.edges) + g.n + 1)
         # a key is dot products with vec itself: per component its
-        # indicator, and the rows of X spread over all vertices, 0 at roots
+        # indicator, and the rows of X spread over all vertices, 0 at roots,
+        # each with the bit offset of its residue in the packed int
         self._degree_rows = [[int(v in comp) for v in g.vertices]
                              for comp in map(set, g.components())]
-        self._residue_rows = [[0] * g.n for _ in self.X]
-        for full, row in zip(self._residue_rows, self.X):
-            for i, c in zip(self.keep, row):
+        self._residue_rows = [([0] * g.n, at) for at in self.packed._offsets]
+        for (full, _), row in zip(self._residue_rows, X):
+            for i, c in zip(keep, row):
                 full[i] = c
 
     def vector_key(self, vec):
         """Class key of the divisor with coefficients vec in vertex order."""
         e = self.e
         return (tuple([sum(map(mul, row, vec)) for row in self._degree_rows]),
-                tuple([sum(map(mul, row, vec)) % e
-                       for row in self._residue_rows]))
+                sum([sum(map(mul, row, vec)) % e << at
+                     for row, at in self._residue_rows]))
 
     def class_key(self, D: Divisor):
         return self.vector_key(D.vector(self.g))
+
+    def pair_key(self, i, a, j, b):
+        """The key part of a e_i + b e_j, with e_v the unit divisor at the
+        vertex of index v: a chip move is (tail, -1, head, 1)."""
+        e = self.e
+        return sum([(a * row[i] + b * row[j]) % e << at
+                    for row, at in self._residue_rows])
 
 
 class _PackedResidues:
     """Vectors of k residues mod e packed into one int, `width` bits per
     coordinate, wide enough for a sum of `terms` reduced vectors.
 
-    `add` of two reduced vectors is one int addition and a correction that
-    subtracts e from every coordinate that reached e, found from the top
-    bit of each coordinate after adding 2^(width-1) - e to it, with no
+    `shift` adds two reduced vectors by one int addition and a correction
+    that subtracts e from every coordinate that reached e, found from the
+    top bit of each coordinate after adding 2^(width-1) - e to it, with no
     carry between coordinates; so a step of a walk costs a few int
-    operations, not one per coordinate.  `bernardi.reduce`'s meet in the
-    middle and `picard`'s brute-force closure pack the residue parts of
-    `LaplacianSystem` keys so.
+    operations, not one per coordinate.  It steps a whole level of a walk
+    in one call.
     """
 
     def __init__(self, k, e, terms=2):
         self.k, self.e = k, e
         self.width = width = (terms * e).bit_length() + 1
-        ones = sum(1 << (width * i) for i in range(k))
+        self._offsets = range(0, width * k, width)  # of each coordinate
+        ones = ((1 << (width * k)) - 1) // ((1 << width) - 1)  # k 1s, spaced
         self.high = ones << (width - 1)
         self.bias = ((1 << (width - 1)) - e) * ones
         self.full = e * ones
         self.mask = (1 << width) - 1
+        self._fix = e, self.high, self.bias, width - 1  # what `shift` reads
 
     def pack(self, vec):
         """The packed vector of ints, each coordinate reduced mod e."""
-        e, width = self.e, self.width
-        return sum([(c % e) << (width * i) for i, c in enumerate(vec)])
+        e = self.e
+        return sum([c % e << at for c, at in zip(vec, self._offsets)])
 
     def unpack(self, x):
-        return [(x >> (self.width * i)) & self.mask for i in range(self.k)]
+        mask = self.mask
+        return [x >> at & mask for at in self._offsets]
 
     def canonical(self, x):
         """x, a sum of at most `terms` reduced vectors, reduced."""
         return self.pack(self.unpack(x))
 
-    def add(self, x, y):
-        s = x + y
-        return s - (((s + self.bias) & self.high) >> (self.width - 1)) * self.e
+    def shift(self, xs, steps):
+        """Each reduced vector of the list xs plus each of the list steps,
+        reduced, x by x: x0 + steps[0], x0 + steps[1], ..., x1 + steps[0],
+        ..."""
+        e, high, bias, top = self._fix
+        return [s - (((s + bias) & high) >> top) * e
+                for x in xs for s in map(x.__add__, steps)]
+
+    def scale(self, x, c):
+        """The reduced vector x times the int c, reduced."""
+        return self.pack([c * y for y in self.unpack(x)])
 
     def neg(self, x):
-        return self.add(self.full - x, 0)
+        return self.shift([self.full - x], [0])[0]
 
 
 def equivalent(g, D1, D2):

@@ -485,6 +485,10 @@ def shrink_vertex_weight(g, v, new_weight):
                               dict(g.ribbon))
 
 
+MALFORMED_PLAN = ('malformed split plan: "parts" must map edge ids to lists '
+                  "of [copy, weight], with a pair of copies for a loop")
+
+
 def split_vertex(g, v, r, plan):
     """Split v into r copies of weight w(v)/r, redistributing its edges.
 
@@ -494,7 +498,13 @@ def split_vertex(g, v, r, plan):
     sum to its weight.  This data comes from the caller; the graph alone
     does not determine it.  Returns the new graph and the map from every
     old vertex to the tuple of its copies.  With r = 1 the copy keeps v's
-    id, and a plan with one part per edge gives a graph equal to g."""
+    id, and a plan with one part per edge gives a graph equal to g.
+    Raises GraphInputError on a part of any other shape."""
+    if not all(isinstance(parts, (list, tuple)) and all(
+            isinstance(p, (list, tuple)) and len(p) == 2
+            and (not isinstance(p[0], (list, tuple)) or len(p[0]) == 2)
+            for p in parts) for parts in plan.values()):
+        raise GraphInputError(MALFORMED_PLAN)
     g.vindex(v)  # rejects an unknown vertex
     if not is_int(r) or r < 1 or g.vertex_weight[v] % r:
         raise PreconditionError("number of copies must divide the vertex weight")
@@ -526,7 +536,7 @@ def split_vertex(g, v, r, plan):
         for nid, (c, w) in zip(ids, parts):
             if not e.is_loop:
                 ends = tuple(copy(c) if x == v else x for x in e.ends)
-            elif isinstance(c, (tuple, list)) and len(c) == 2:
+            elif isinstance(c, (tuple, list)):  # a pair, checked above
                 ends = (copy(c[0]), copy(c[1]))
             else:
                 raise PreconditionError(

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from operator import add
 
 from . import intlinalg
-from .divisors import (Divisor, LaplacianSystem, _PackedResidues,
-                       reduced_laplacian, require_pleasant)
+from .divisors import (Divisor, LaplacianSystem, reduced_laplacian,
+                       require_pleasant)
 from .errors import InternalError, PreconditionError
 
 
@@ -114,10 +114,10 @@ def enumerate_coset_representatives_bruteforce(g, balanced_only=False,
     Deterministic breadth-first order.  Connected graphs only.  `system` is
     g's LaplacianSystem if the caller has one.  The generators have degree
     0, and the key part X D_r mod e is linear, so a neighbour's key is the
-    current key plus the signed generator's key mod e, packed into one int
-    (`_neighbour_keys`); a neighbour's vector is built only when its key is
-    new.  Raises InternalError when the closure outgrows the e^k keys of
-    its k residues, which only keys left unreduced can do.
+    current key plus the signed generator's, a whole level at once by the
+    system's `packed.shift`; a neighbour's vector is built only when its
+    key is new.  Raises InternalError when the closure outgrows the e^k
+    keys of its k residues, which only keys left unreduced can do.
     """
     if not g.is_connected():
         raise PreconditionError("brute-force enumeration requires a connected graph")
@@ -133,21 +133,20 @@ def enumerate_coset_representatives_bruteforce(g, balanced_only=False,
             gens.append(col)
     if system is None:
         system = LaplacianSystem(g)
-    packed = _PackedResidues(len(system.X), system.e)
+    packed = system.packed
     steps, step_keys = [], []
     for gen in gens:
-        key = packed.pack(system.vector_key(gen)[1])
+        key = system.vector_key(gen)[1]
         steps += [gen, [-x for x in gen]]
         step_keys += [key, packed.neg(key)]
     start = (0,) * g.n
-    seen = {packed.pack(system.vector_key(start)[1]): start}
+    seen = {system.vector_key(start)[1]: start}
     # level by level: a level's keys step in one call, in the order that
     # a queue would take them
     level = list(seen.items())
     limit = system.e ** packed.k
     while level:
-        keys = iter(_neighbour_keys(packed, [key for key, _ in level],
-                                    step_keys))
+        keys = iter(packed.shift([key for key, _ in level], step_keys))
         nxt_level = []
         for _, cur in level:
             for step, key in zip(steps, keys):
@@ -160,12 +159,3 @@ def enumerate_coset_representatives_bruteforce(g, balanced_only=False,
                 f"the closure reached {len(seen)} classes, more than the "
                 f"{limit} keys mod e = {system.e}; its keys were not reduced")
     return [Divisor(dict(zip(g.vertices, vec))) for vec in seen.values()]
-
-
-def _neighbour_keys(packed, keys, step_keys):
-    """The packed key of each key plus each step key, reduced mod e, key
-    by key: per step one int addition and `_PackedResidues.add`'s
-    carry-free correction, written out."""
-    e, high, bias, shift = packed.e, packed.high, packed.bias, packed.width - 1
-    return [s - (((s + bias) & high) >> shift) * e
-            for key in keys for s in map(key.__add__, step_keys)]

@@ -254,7 +254,8 @@ def _matrix_tree(g, at, stats):
     if len(reps) != count or len(repsb) != countb:
         yield f"brute-force counts {len(reps)}/{len(repsb)} vs {count}/{countb}"
     e0 = bfs_system.e
-    eb = math.lcm(*(e0 // math.gcd(e0, *bfs_system.vector_key(gen)[1])
+    unpack = bfs_system.packed.unpack
+    eb = math.lcm(*(e0 // math.gcd(e0, *unpack(bfs_system.vector_key(gen)[1]))
                     for gen in picard._balanced_deg0_generators(g)))
     if _exponent(s0) != e0 or _exponent(sb) != eb:
         yield (f"exponents {_exponent(s0)}/{_exponent(sb)} "

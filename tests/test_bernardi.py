@@ -18,6 +18,7 @@ from chipfire import (Divisor, GraphInputError, PreconditionError,
 from chipfire.bernardi import (BernardiReducer, SubweightedTree,
                                enumerate_subweightings, hat_reference_shift,
                                reduce as bernardi_reduce, resolve_roots)
+from chipfire.divisors import _PackedResidues
 from chipfire.family import pleasant_family
 
 TW_ROOTS = (("v2",), {"v2": ("a", 1)})
@@ -583,7 +584,7 @@ def _boxes(draw):
 @example((1, 100, [(1,)], [7], (7,)))
 def test_box_offsets_agree_with_the_whole_box(box):
     k, e, steps, sizes, want = box
-    packed = bernardi._PackedResidues(k, e)
+    packed = _PackedResidues(k, e)
     got = bernardi._box_offsets([packed.pack(s) for s in steps], sizes,
                                 packed.pack(want), packed)
     hits = {c for c in itertools.product(*map(range, sizes))

@@ -5,12 +5,20 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
+import random
 
-from chipfire import (Divisor, GraphInputError, chip_fire,
-                      degree, equivalent, is_balanced, laplacian, serialize,
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chipfire import (Divisor, GraphInputError, SubweightedTree,
+                      WeightedMultigraph, chip_fire, degree, equivalent,
+                      is_balanced, laplacian, serialize, torsor_act,
                       unbalancing_class)
-from chipfire.divisors import LaplacianSystem
+from chipfire.bernardi import reduce as bernardi_reduce
+from chipfire.divisors import LaplacianSystem, _PackedResidues
+from chipfire.selfcheck import triangle_tw
+from test_bernardi import _random_pleasant
 
 
 def test_degree(tw):
@@ -101,6 +109,83 @@ def test_class_key_separates_classes(tw):
     D3 = Divisor({"v1": 0, "v2": 0, "v3": 1})
     assert sys.class_key(D1) == sys.class_key(D2)
     assert sys.class_key(D1) != sys.class_key(D3)
+
+
+def _two_component_graphs():
+    rng = random.Random(29)
+    return [_random_pleasant(rng, n, parts=2) for n in (4, 5, 6, 7)]
+
+
+@pytest.mark.parametrize("g", [
+    *_two_component_graphs(), WeightedMultigraph.build(["v"], [])],
+    ids=["two-parts-n4", "two-parts-n5", "two-parts-n6", "two-parts-n7",
+         "one-vertex"])
+def test_packed_keys_separate_classes_as_equivalent_does(g):
+    rng = random.Random(g.n)
+    sys = LaplacianSystem(g)
+    if g.n == 1:
+        assert (sys.packed.k, sys.e) == (0, 1)
+    divisors = []
+    for _ in range(12):
+        D = Divisor({v: rng.randint(-3, 3) for v in g.vertices})
+        f = {v: rng.randint(-2, 2) for v in g.vertices}
+        divisors += [D, D + laplacian(g, f)]
+    for D1 in divisors:
+        degrees, residue = sys.class_key(D1)
+        assert isinstance(residue, int)
+        for D2 in divisors:
+            assert ((sys.class_key(D1) == sys.class_key(D2))
+                    == (equivalent(g, D1, D2) is not None))
+
+
+@st.composite
+def _packed_cases(draw):
+    """(k, e, terms, xs, steps, c): reduced vectors in (Z/e)^k, packed as
+    wide as a system of len(g.edges) + g.n + 1 = terms packs them."""
+    k = draw(st.integers(0, 3))
+    e = draw(st.sampled_from([1, 2, 6, 40, 10 ** 5]))
+    vec = st.lists(st.integers(0, e - 1), min_size=k, max_size=k)
+    return (k, e, draw(st.integers(2, 60)),
+            draw(st.lists(vec, min_size=1, max_size=5)),
+            draw(st.lists(vec, max_size=5)), draw(st.integers(-10 ** 6, 10 ** 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_packed_cases())
+def test_packed_arithmetic_is_coordinatewise_mod_e(case):
+    k, e, terms, xs, steps, c = case
+    packed = _PackedResidues(k, e, terms)
+    px = [packed.pack(x) for x in xs]
+    assert [packed.unpack(y) for y in px] == xs
+    assert [packed.unpack(y) for y in packed.shift(
+        px, [packed.pack(s) for s in steps])] == [
+            [(a + b) % e for a, b in zip(x, s)] for x in xs for s in steps]
+    assert [packed.unpack(packed.scale(y, c)) for y in px] == [
+        [c * a % e for a in x] for x in xs]
+    assert [packed.unpack(packed.neg(y)) for y in px] == [
+        [-a % e for a in x] for x in xs]
+    assert packed.unpack(packed.canonical(sum(px[:terms]))) == [
+        sum(col) % e for col in zip(*xs[:terms])]
+
+
+def _tw_tree(g):
+    return SubweightedTree.build(g, ["a", "c"])
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, D: equivalent(g, D, Divisor.zero(g)),
+    lambda g, D: bernardi_reduce(g, D),
+    lambda g, D: torsor_act(g, D, _tw_tree(g)),
+    is_balanced,
+    lambda g, D: laplacian(g, D.coefficients),
+], ids=["equivalent", "reduce", "torsor_act", "is_balanced", "laplacian"])
+@pytest.mark.parametrize("coefficients", [
+    {"v1": 0.5, "v2": -0.5, "v3": 0}, {"v1": 1.5, "v2": -1.5, "v3": 0},
+    {"v1": 1.0, "v2": 0, "v3": -1}, {"v1": True, "v2": -1, "v3": 0}],
+    ids=["half", "three-halves", "float-one", "true"])
+def test_coefficients_that_are_not_ints_are_input_errors(call, coefficients):
+    with pytest.raises(GraphInputError, match="coefficients must be integers"):
+        call(triangle_tw(), Divisor(coefficients))
 
 
 # Run under `python -O`, which strips `assert` statements: the checks that

@@ -388,6 +388,15 @@ def test_split_vertex_rejects_bad_plans(tw):
         split_vertex(tw, "v1", 1, {})
 
 
+@pytest.mark.parametrize("parts", [
+    [(0, 1, 1)], [[0]], "xy", [5], 5, [((0, 1, 1), 2)]],
+    ids=["triple", "no-weight", "string", "part-5", "parts-5",
+         "copy-triple"])
+def test_split_vertex_rejects_malformed_parts(tw, parts):
+    with pytest.raises(GraphInputError, match="malformed split plan"):
+        split_vertex(tw, "v1", 2, {"a": parts, "b": [(0, 2)]})
+
+
 def test_split_vertex_blames_the_graph_before_the_plan():
     # a has weight 2 and its one edge x weight 3, so g is not pleasant
     g = WeightedMultigraph.build(["a", "b"], [("x", ("a", "b"))],

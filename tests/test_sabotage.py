@@ -13,6 +13,7 @@ import random
 import pytest
 
 from chipfire import WeightedMultigraph, bernardi, intlinalg, picard, selfcheck
+from chipfire.divisors import _PackedResidues
 from chipfire.errors import InternalError
 from chipfire.family import pleasant_family
 from chipfire.selfcheck import (check_divisor_properties, check_fig2_tours,
@@ -165,10 +166,10 @@ def _indegree_vector_one_chip_more(original):
 
 
 def _key_correction_dropped(original):
-    # the closure's key steps add the packed step keys without subtracting
-    # e where a coordinate reached it, so its keys are never reduced
-    def fault(packed, keys, step_keys):
-        return [key + step for key in keys for step in step_keys]
+    # the packed key steps add without subtracting e where a coordinate
+    # reached it, so the keys they step are never reduced
+    def fault(packed, xs, steps):
+        return [x + step for x in xs for step in steps]
     return fault
 
 
@@ -326,8 +327,11 @@ FAULTS = [
                  id="box-target-negated"),
     # unreduced keys grow without end, so the closure outgrows its e^k keys
     # and raises: in the matrix-tree leg, which ends each graph's later legs,
-    # and in the torsor axioms' balanced group
-    pytest.param(picard, "_neighbour_keys", _key_correction_dropped,
+    # and in the torsor axioms' balanced group.  The same step also walks
+    # `reduce`'s boxes and the oracle table of the completeness leg, which
+    # differ only where e > 1, and there the matrix-tree leg's raise has
+    # ended the graph's later legs first
+    pytest.param(_PackedResidues, "shift", _key_correction_dropped,
                  {"matrix-tree", "torsor"}, id="closure-key-correction-dropped"),
 ]
 

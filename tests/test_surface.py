@@ -1,6 +1,8 @@
 """The exhaustive oracles stay off the production surface: no module but
 `selfcheck` names one, and the top-level package exports none.  The tests
-and `selfcheck` import them from their own modules."""
+and `selfcheck` import them from their own modules.  The class-key format
+stays in `divisors`: no other module names its packing or reads its
+layout."""
 
 import ast
 from pathlib import Path
@@ -31,3 +33,27 @@ def test_no_production_module_imports_an_oracle():
 def test_the_package_exports_no_oracle():
     assert ORACLES.isdisjoint(chipfire.__all__)
     assert ORACLES.isdisjoint(vars(chipfire))
+
+
+# the attributes that lay out a key: the inverse, the kept vertices, and
+# the packing's fields
+KEY_ATTRIBUTES = {"X", "keep", "high", "bias", "width", "mask", "full"}
+
+
+def _key_internals_named(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.alias) and node.name == "_PackedResidues":
+            yield node.name
+        elif isinstance(node, ast.Name) and node.id == "_PackedResidues":
+            yield node.id
+        elif isinstance(node, ast.Attribute) and (
+                node.attr in KEY_ATTRIBUTES or node.attr == "_PackedResidues"):
+            yield node.attr
+
+
+def test_only_divisors_knows_the_key_format():
+    modules = sorted(Path(chipfire.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    named = {p.name: sorted(set(_key_internals_named(p))) for p in modules
+             if p.name != "divisors.py"}
+    assert {name: found for name, found in named.items() if found} == {}
