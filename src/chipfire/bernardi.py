@@ -84,11 +84,7 @@ class SubweightedTree:
         """The validated tree; sigma defaults to the edge weights, roots
         and starts resolve as in `resolve_roots`.  Raises GraphInputError."""
         forest = list(forest)
-        try:
-            maximal = is_maximal_forest(g, forest)
-        except TypeError:  # an unhashable id, as a JSON file may hold
-            maximal = False
-        if not maximal:
+        if not _is_maximal(g, forest):
             raise GraphInputError(f"forest {forest!r} is not a maximal spanning "
                                   "forest of distinct edges of the graph")
         order = {e.id: k for k, e in enumerate(g.edges)}
@@ -125,8 +121,15 @@ def tour_forest(g, forest, roots=None, starts=None):
     return _orient(g, forest, starts)
 
 
+def _is_maximal(g, forest):
+    try:
+        return is_maximal_forest(g, forest)
+    except TypeError:  # an unhashable id, as a JSON file may hold
+        return False
+
+
 def _require_maximal(g, forest):
-    if not is_maximal_forest(g, forest):
+    if not _is_maximal(g, forest):
         raise PreconditionError(
             "forest must restrict to a spanning tree on each component")
 
@@ -337,8 +340,8 @@ def enumerate_subweightings(g, T, balanced_only=False, roots=None, starts=None):
 
 
 def _box_offsets(steps, sizes, want, packed):
-    """Offsets c with 0 <= c_j < sizes[j] and sum_j c_j steps[j] = want,
-    as vectors packed by `packed`, or None when there are none.
+    """Offsets c with 0 <= c_j < sizes[j] and sum_j c_j s_j = want, or None
+    when there are none; steps[j] = (s_j, -s_j), all packed by `packed`.
 
     Meet in the middle (Shanks' baby step, giant step): the sums of one
     half of the box's coordinates go into a dict, and each combination of
@@ -348,7 +351,7 @@ def _box_offsets(steps, sizes, want, packed):
     r in the dict's half and q in the other; a hit with q b + r >= size
     is no solution.  The dict's half is listed with r slowest and keeps
     the first of equal sums, the one of least r, so a solution is missed
-    only when there is none.
+    only when there is none.  The other half steps by -s_j from want.
     """
     box = math.prod(sizes)
     baby, giant, split, product = [], [], [], 1
@@ -364,23 +367,23 @@ def _box_offsets(steps, sizes, want, packed):
             giant.append((j, 1, w))
     baby += split  # r varies slowest
 
-    def sums(dims, start, negate):
+    def sums(dims, start, side):
         # the first dim varies fastest; each block is the one before plus step
         out = [start]
         for j, mult, size in dims:
-            step = steps[j] if mult == 1 else packed.scale(steps[j], mult)
-            if negate:
-                step = packed.neg(step)
+            step = steps[j][side]
+            if mult > 1:
+                step = packed.scale(step, mult)
             block = out
             for _ in range(size - 1):
                 block = packed.shift([step], block)
                 out += block
         return out
 
-    baby_sums = sums(baby, 0, False)
+    baby_sums = sums(baby, 0, 0)
     # the first index of each sum
     table = dict(zip(reversed(baby_sums), range(len(baby_sums) - 1, -1, -1)))
-    for k, x in enumerate(sums(giant, want, True)):
+    for k, x in enumerate(sums(giant, want, 1)):
         if x in table:
             offsets = [0] * len(sizes)
             for dims, at in ((giant, k), (baby, table[x])):
@@ -400,9 +403,10 @@ def _subweighting_in_class(g, system, starts, residue):
     The key part is linear, so with U_v the key part of vertex v's unit
     divisor, an edge oriented tail -> head adds w U_head to the tree
     divisor's key off the forest and w U_tail + s on it at sigma = 1,
-    where s = U_head - U_tail is what each further unit of sigma adds.
-    Forest by forest, in `enumerate_forests` order, one tour gives these
-    terms and `_box_offsets` solves for sigma - 1 in the forest's box.
+    where s = U_head - U_tail is what each further unit of sigma adds, and
+    -s is that of the other orientation.  Forest by forest, in
+    `enumerate_forests` order, one tour gives these terms and
+    `_box_offsets` solves for sigma - 1 in the forest's box.
     Distinct sub-weighted forests lie in distinct classes, so the first
     forest with a solution holds the only one."""
     packed = system.packed
@@ -415,6 +419,8 @@ def _subweighting_in_class(g, system, starts, residue):
             off[e.id, ends] = system.pair_key(head, -w, tail, 0)
             fix[e.id, ends] = system.pair_key(tail, 1 - w, head, w - 1)
             step[e.id, ends] = system.pair_key(tail, -1, head, 1)
+    step = {(eid, ends): (s, step[eid, ends[::-1]])
+            for (eid, ends), s in step.items()}
     # D + W, W the vertex weights; `packed` holds 2 + |E| + |forest| terms
     base = residue + system.vector_key(
         [g.vertex_weight[v] for v in g.vertices])[1]

@@ -90,6 +90,7 @@ def laplacian(g, f) -> Divisor:
 
 def chip_fire(g, v) -> Divisor:
     """One chip-firing move: the Laplacian of the indicator of v."""
+    g.vindex(v)  # rejects an unknown or unhashable vertex
     return laplacian(g, {u: 1 if u == v else 0 for u in g.vertices})
 
 
@@ -175,7 +176,6 @@ class _PackedResidues:
         ones = ((1 << (width * k)) - 1) // ((1 << width) - 1)  # k 1s, spaced
         self.high = ones << (width - 1)
         self.bias = ((1 << (width - 1)) - e) * ones
-        self.full = e * ones
         self.mask = (1 << width) - 1
         self._fix = e, self.high, self.bias, width - 1  # what `shift` reads
 
@@ -203,9 +203,6 @@ class _PackedResidues:
     def scale(self, x, c):
         """The reduced vector x times the int c, reduced."""
         return self.pack([c * y for y in self.unpack(x)])
-
-    def neg(self, x):
-        return self.shift([self.full - x], [0])[0]
 
 
 def equivalent(g, D1, D2):

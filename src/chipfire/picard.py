@@ -18,10 +18,7 @@ class AbelianGroupStructure:
 
     @property
     def order(self):
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return math.prod(self.invariant_factors)
 
 
 def _structure(A, m1, m2):
@@ -112,12 +109,13 @@ def enumerate_coset_representatives_bruteforce(g, balanced_only=False,
     requested), by closing the zero divisor under translation generators.
 
     Deterministic breadth-first order.  Connected graphs only.  `system` is
-    g's LaplacianSystem if the caller has one.  The generators have degree
-    0, and the key part X D_r mod e is linear, so a neighbour's key is the
-    current key plus the signed generator's, a whole level at once by the
-    system's `packed.shift`; a neighbour's vector is built only when its
-    key is new.  Raises InternalError when the closure outgrows the e^k
-    keys of its k residues, which only keys left unreduced can do.
+    g's LaplacianSystem if the caller has one.  The group is finite, so
+    closed under its generators: a neighbour is a generator away, and as
+    the generators have degree 0 and the key part X D_r mod e is linear,
+    its key is the current key plus the generator's, a whole level at once
+    by the system's `packed.shift`; its vector is built only when its key
+    is new.  Raises InternalError when the closure outgrows the e^k keys of
+    its k residues, which only keys left unreduced can do.
     """
     if not g.is_connected():
         raise PreconditionError("brute-force enumeration requires a connected graph")
@@ -134,11 +132,7 @@ def enumerate_coset_representatives_bruteforce(g, balanced_only=False,
     if system is None:
         system = LaplacianSystem(g)
     packed = system.packed
-    steps, step_keys = [], []
-    for gen in gens:
-        key = system.vector_key(gen)[1]
-        steps += [gen, [-x for x in gen]]
-        step_keys += [key, packed.neg(key)]
+    step_keys = [system.vector_key(gen)[1] for gen in gens]
     start = (0,) * g.n
     seen = {system.vector_key(start)[1]: start}
     # level by level: a level's keys step in one call, in the order that
@@ -149,7 +143,7 @@ def enumerate_coset_representatives_bruteforce(g, balanced_only=False,
         keys = iter(packed.shift([key for key, _ in level], step_keys))
         nxt_level = []
         for _, cur in level:
-            for step, key in zip(steps, keys):
+            for step, key in zip(gens, keys):
                 if key not in seen:
                     nxt = seen[key] = tuple(map(add, cur, step))
                     nxt_level.append((key, nxt))

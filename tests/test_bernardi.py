@@ -55,6 +55,17 @@ def test_tour_rejects_non_tree(triangle):
         tour_forest(triangle, ("a",), roots=("v2",))
 
 
+@pytest.mark.parametrize("forest", [[["a"], "b"], [{"a": 1}, "b"],
+                                    ["a", ["b"]]])
+def test_an_unhashable_forest_id_is_a_precondition_error(tw, forest):
+    with pytest.raises(PreconditionError, match="spanning tree"):
+        tour_forest(tw, forest)
+    ts = SubweightedTree(tuple(forest), dict(tw.edge_weight), ("v1",),
+                         {"v1": tw.ribbon["v1"][0]})
+    with pytest.raises(PreconditionError, match="spanning tree"):
+        tree_divisor(tw, ts)
+
+
 def test_orientation_divisors(triangle):
     roots, starts = ("v2",), {"v2": "a"}
     first = tour_forest(triangle, ("a", "b"), roots, starts)
@@ -585,8 +596,9 @@ def _boxes(draw):
 def test_box_offsets_agree_with_the_whole_box(box):
     k, e, steps, sizes, want = box
     packed = _PackedResidues(k, e)
-    got = bernardi._box_offsets([packed.pack(s) for s in steps], sizes,
-                                packed.pack(want), packed)
+    got = bernardi._box_offsets(
+        [(packed.pack(s), packed.pack([-x for x in s])) for s in steps],
+        sizes, packed.pack(want), packed)
     hits = {c for c in itertools.product(*map(range, sizes))
             if all(sum(cj * s[i] for cj, s in zip(c, steps)) % e == want[i]
                    for i in range(k))}

@@ -156,9 +156,10 @@ def test_random_pleasant_graphs():
         assert system.class_key(D0) == system.class_key(D0 + laplacian(g, f))
 
 
-def _bfs_per_vector_keys(g, balanced_only):
+def _bfs_per_vector_keys(g, balanced_only, signs=(1,)):
     """The coset closure of the zero divisor keyed by a full `vector_key`
-    of every neighbour: the oracle of the incremental keys."""
+    of every neighbour, stepping by each generator times each of signs:
+    the oracle of the incremental keys."""
     system = LaplacianSystem(g)
     if balanced_only:
         weights = [g.vertex_weight[v] for v in g.vertices]
@@ -172,7 +173,7 @@ def _bfs_per_vector_keys(g, balanced_only):
     queue = [start]
     for cur in queue:
         for gen in gens:
-            for sgn in (1, -1):
+            for sgn in signs:
                 nxt = tuple(c + sgn * x for c, x in zip(cur, gen))
                 key = system.vector_key(nxt)
                 if key not in seen:
@@ -218,6 +219,10 @@ def test_incremental_coset_keys_match_per_vector_keys(tw, four_edge_pleasant):
                 g, balanced_only=balanced_only)
             assert got == _bfs_per_vector_keys(g, balanced_only)
             assert len(got) == count
+            # a finite group is closed under its generators alone
+            key = LaplacianSystem(g).class_key
+            assert set(map(key, got)) == set(map(key, _bfs_per_vector_keys(
+                g, balanced_only, signs=(1, -1))))
 
 
 def _inverse_oracle_structures(g):

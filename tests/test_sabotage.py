@@ -265,7 +265,15 @@ def _box_target_negated(original):
     # the meet in the middle solves for minus its target, a sign slip in
     # the key difference that the walk hands it
     def fault(steps, sizes, want, packed):
-        return original(steps, sizes, packed.neg(want), packed)
+        return original(steps, sizes, packed.scale(want, -1), packed)
+    return fault
+
+
+def _box_back_step_forward(original):
+    # the giant steps go forward from the target, as if each step pair
+    # held its forward step twice
+    def fault(steps, sizes, want, packed):
+        return original([(s, s) for s, _ in steps], sizes, want, packed)
     return fault
 
 
@@ -325,6 +333,8 @@ FAULTS = [
     # of the completeness leg walks every class without the solver
     pytest.param(bernardi, "_box_offsets", _box_target_negated, {"torsor"},
                  id="box-target-negated"),
+    pytest.param(bernardi, "_box_offsets", _box_back_step_forward, {"torsor"},
+                 id="box-back-step-forward"),
     # unreduced keys grow without end, so the closure outgrows its e^k keys
     # and raises: in the matrix-tree leg, which ends each graph's later legs,
     # and in the torsor axioms' balanced group.  The same step also walks
