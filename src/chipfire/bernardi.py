@@ -15,8 +15,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .divisors import (Divisor, LaplacianSystem, check_on_graph, degree,
-                       equivalent, require_pleasant)
+from .divisors import (Divisor, LaplacianSystem, check_on_graph,
+                       component_degrees, equivalent, require_pleasant)
 from .errors import GraphInputError, InternalError, PreconditionError
 from .graphs import component_genera, is_int
 from .trees import enumerate_forests, is_maximal_forest, iter_forests
@@ -84,9 +84,7 @@ class SubweightedTree:
         """The validated tree; sigma defaults to the edge weights, roots
         and starts resolve as in `resolve_roots`.  Raises GraphInputError."""
         forest = list(forest)
-        if not _is_maximal(g, forest):
-            raise GraphInputError(f"forest {forest!r} is not a maximal spanning "
-                                  "forest of distinct edges of the graph")
+        _require_maximal(g, forest)
         order = {e.id: k for k, e in enumerate(g.edges)}
         forest = tuple(sorted(forest, key=order.get))
         if sigma is None:
@@ -114,24 +112,19 @@ class SubweightedTree:
 def tour_forest(g, forest, roots=None, starts=None):
     """Orient all edges by touring the forest's tree in each component from
     its root and start (see `resolve_roots`): edge id -> (tail, head),
-    with tail == head on a loop."""
+    with tail == head on a loop.  Raises GraphInputError."""
     forest = tuple(forest)
     _require_maximal(g, forest)
     _, starts = resolve_roots(g, roots, starts)
     return _orient(g, forest, starts)
 
 
-def _is_maximal(g, forest):
-    try:
-        return is_maximal_forest(g, forest)
-    except TypeError:  # an unhashable id, as a JSON file may hold
-        return False
-
-
 def _require_maximal(g, forest):
-    if not _is_maximal(g, forest):
-        raise PreconditionError(
-            "forest must restrict to a spanning tree on each component")
+    """The one check of a forest: GraphInputError unless its ids name a
+    maximal spanning forest of distinct edges of g."""
+    if not is_maximal_forest(g, forest):
+        raise GraphInputError(f"forest {list(forest)!r} is not a maximal "
+                              "spanning forest of distinct edges of the graph")
 
 
 def _orient(g, forest, starts):
@@ -466,7 +459,7 @@ def tree_divisor(g, ts: SubweightedTree) -> Divisor:
     """The degree g-1 divisor attached to a sub-weighted forest: the
     per-tree path, with its own tour from the tree's resolved starts
     (`enumerate_subweightings` and `reduce` tour each forest once for all
-    its sigma)."""
+    its sigma).  Raises GraphInputError on a forest that is not maximal."""
     _require_maximal(g, ts.forest_edges)
     return Divisor.from_vector(
         g, _tree_vector(g, ts.sigma, _orient(g, ts.forest_edges, ts.starts)))
@@ -549,14 +542,13 @@ def reduce(g, D, roots=None, starts=None):
     check_on_graph(g, D)
     roots, starts = resolve_roots(g, roots, starts)
     want = tuple(genus - 1 for genus in component_genera(g))
-    if len(want) == 1 and degree(D) != want[0]:
-        raise PreconditionError(f"reduce needs degree {want[0]}, got {degree(D)}")
-    system = LaplacianSystem(g)
-    degrees, residue = system.class_key(D)
+    degrees = component_degrees(g, D)
     if degrees != want:
         raise PreconditionError(
-            "no representative: per-component degrees must equal genus - 1")
-    found = _subweighting_in_class(g, system, starts, residue)
+            f"reduce needs degree {want[0]}, got {degrees[0]}" if len(want) == 1
+            else "no representative: per-component degrees must equal genus - 1")
+    system = LaplacianSystem(g)
+    found = _subweighting_in_class(g, system, starts, system.class_key(D)[1])
     if found is None:
         raise InternalError("no sub-weighted forest lands in the class of a "
                             "divisor of the right degrees; completeness is violated")
@@ -571,7 +563,7 @@ def reduce(g, D, roots=None, starts=None):
 def torsor_act(g, D0, ts: SubweightedTree) -> SubweightedTree:
     """Translate the sub-weighted tree ts by the degree-0 class of D0."""
     check_on_graph(g, D0)  # D0 + a tree divisor would turn True into 1
-    if any(sum(D0.coefficients.get(v, 0) for v in comp) for comp in g.components()):
+    if any(component_degrees(g, D0)):
         raise PreconditionError(
             "torsor action needs a divisor of degree 0 on each component")
     out, _cert = reduce(g, D0 + tree_divisor(g, ts), ts.roots, ts.starts)

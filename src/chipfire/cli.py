@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import bernardi, picard, serialize
-from .divisors import check_on_graph, laplacian
+from .divisors import laplacian
 from .errors import GraphInputError, InternalError, PreconditionError
 from .fibers import (SpecialFiberDescription, component_group_structure,
                      dual_graph, phi_note)
@@ -54,14 +54,12 @@ def _load_graph(path):
 
 def _load_divisor(g, path, potential=False):
     """A divisor file's coefficients, or a potential file's "potential"
-    (or "coefficients"), checked to name only vertices of g."""
+    (or "coefficients"), for the library call to check."""
     obj = _load_json(path)
     key = ("potential" if potential and isinstance(obj, dict) and "potential" in obj
            else "coefficients")
     what = "potential" if potential else "divisor"
-    D = serialize.divisor_from_obj(g, obj, key=key, what=what)
-    check_on_graph(g, D, what)
-    return D
+    return serialize.divisor_from_obj(g, obj, key=key, what=what)
 
 
 def _emit(text):

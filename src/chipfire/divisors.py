@@ -58,6 +58,12 @@ def degree(D: Divisor) -> int:
     return sum(D.coefficients.values())
 
 
+def component_degrees(g, D) -> tuple:
+    """D's degree on each component of g, in component order."""
+    return tuple(sum(D.coefficients.get(v, 0) for v in comp)
+                 for comp in g.components())
+
+
 def is_balanced(g, D) -> bool:
     check_on_graph(g, D)
     return all(D.coefficients.get(v, 0) % g.vertex_weight[v] == 0
@@ -214,9 +220,9 @@ def equivalent(g, D1, D2):
     """
     check_on_graph(g, D1)
     check_on_graph(g, D2)
-    diff = (D1 - D2).vector(g)
-    if any(sum(diff[g.vindex(v)] for v in comp) for comp in g.components()):
+    if any(component_degrees(g, D1 - D2)):
         return None
+    diff = (D1 - D2).vector(g)
     f = dict.fromkeys(g.vertices, 0)
     Lr, keep = reduced_laplacian(g)
     if keep:

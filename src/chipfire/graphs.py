@@ -25,8 +25,10 @@ def is_int(x):
 
 
 def _positive_weight(what, x, w):
+    """w, the weight at x, if it is a positive int; the one check of a weight."""
     if not is_int(w) or w < 1:
         raise GraphInputError(f"{what} weight at {x!r} must be a positive integer")
+    return w
 
 
 def _json_key(x):
@@ -453,11 +455,10 @@ def add_leaf(g, v, leaf_weight=1, edge_weight=1):
 
 
 def split_edge(g, eid, parts):
-    """Replace edge `eid` by parallel edges of the given weights (same total)."""
+    """Replace edge `eid` by parallel parts: GraphInputError on a part that is
+    not a positive int, PreconditionError if the parts do not fit the edge."""
     e = g.edge(eid)
-    parts = list(parts)
-    if not parts or any(not is_int(p) or p < 1 for p in parts):
-        raise PreconditionError("parts must be positive integers")
+    parts = [_positive_weight("part", eid, p) for p in parts]
     if sum(parts) != g.edge_weight[eid]:
         raise PreconditionError("parts must sum to the weight of the split edge")
     for p in parts:
@@ -474,10 +475,11 @@ def split_edge(g, eid, parts):
 
 
 def shrink_vertex_weight(g, v, new_weight):
-    """Lower the weight at v to a divisor of the old weight."""
+    """Lower the weight at v: GraphInputError on a weight that is not a
+    positive int, PreconditionError on one that does not divide the old."""
     g.vindex(v)  # rejects an unknown vertex
-    if not is_int(new_weight) or new_weight < 1 \
-            or g.vertex_weight[v] % new_weight:
+    _positive_weight("vertex", v, new_weight)
+    if g.vertex_weight[v] % new_weight:
         raise PreconditionError("new weight must be a positive divisor of the old one")
     vw = dict(g.vertex_weight)
     vw[v] = new_weight
@@ -499,12 +501,16 @@ def split_vertex(g, v, r, plan):
     does not determine it.  Returns the new graph and the map from every
     old vertex to the tuple of its copies.  With r = 1 the copy keeps v's
     id, and a plan with one part per edge gives a graph equal to g.
-    Raises GraphInputError on a part of any other shape."""
+    Raises GraphInputError on a part of any other shape or a part weight
+    that is not a positive int, and PreconditionError on the rest."""
     if not all(isinstance(parts, (list, tuple)) and all(
             isinstance(p, (list, tuple)) and len(p) == 2
             and (not isinstance(p[0], (list, tuple)) or len(p[0]) == 2)
             for p in parts) for parts in plan.values()):
         raise GraphInputError(MALFORMED_PLAN)
+    for eid, parts in plan.items():
+        for _, w in parts:
+            _positive_weight("part", eid, w)
     g.vindex(v)  # rejects an unknown vertex
     if not is_int(r) or r < 1 or g.vertex_weight[v] % r:
         raise PreconditionError("number of copies must divide the vertex weight")
@@ -525,9 +531,7 @@ def split_vertex(g, v, r, plan):
     pieces = {}
     for e in incident:
         parts = list(plan[e.id])
-        if any(not is_int(w) for _, w in parts):
-            raise PreconditionError("plan part weights must be positive integers")
-        if not parts or sum(w for _, w in parts) != g.edge_weight[e.id]:
+        if sum(w for _, w in parts) != g.edge_weight[e.id]:
             raise PreconditionError(
                 f"plan parts for edge {e.id!r} must sum to its weight")
         ids = [e.id] if len(parts) == 1 else _fresh_ids(
@@ -541,8 +545,6 @@ def split_vertex(g, v, r, plan):
             else:
                 raise PreconditionError(
                     f"plan parts for loop {e.id!r} need a pair of copy indices")
-            if w < 1:
-                raise PreconditionError("plan part weights must be positive integers")
             pieces[e.id].append((nid, ends, w))
 
     copies[v] = tuple(names)

@@ -10,7 +10,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import GraphInputError
-from .graphs import WeightedMultigraph, _json_key, is_int
+from .graphs import WeightedMultigraph, _json_key
 from .divisors import Divisor, EquivalenceCertificate
 from .bernardi import SubweightedTree
 from .picard import AbelianGroupStructure
@@ -112,13 +112,11 @@ def graph_id(by_key, text):
 
 
 def divisor_from_obj(g, obj, key="coefficients", what="divisor") -> Divisor:
-    """The divisor (or potential, named by `what` in errors) under obj[key]."""
-    try:
-        coeffs = obj[key]
-    except (KeyError, TypeError) as exc:
-        raise GraphInputError(f"malformed {what} object: missing {key!r}") from exc
-    if not isinstance(coeffs, dict) or not all(map(is_int, coeffs.values())):
-        raise GraphInputError(f"{what} coefficients must be integers")
+    """The divisor (or potential, named by `what` in errors) under obj[key],
+    unchecked: `divisors.check_on_graph` checks its vertices and values."""
+    coeffs = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(coeffs, dict):
+        raise GraphInputError(f"malformed {what} object: it needs a {key!r} object")
     return Divisor({graph_id(g.vertex_by_key, v): c for v, c in coeffs.items()})
 
 

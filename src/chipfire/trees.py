@@ -50,10 +50,13 @@ def enumerate_trees(g):
 
 def is_maximal_forest(g, edge_ids):
     """Whether the ids name distinct edges of g that form a maximal spanning
-    forest.  Raises TypeError on an unhashable id."""
+    forest.  Never raises: an unhashable id, as JSON may hold, names no edge."""
     ends_of = g.edge_ends
     ids = list(edge_ids)
-    if len(set(ids)) != len(ids) or len(ids) != g.n - len(g.components()):
+    try:
+        if len(set(ids)) != len(ids) or len(ids) != g.n - len(g.components()):
+            return False
+    except TypeError:  # an unhashable id
         return False
     parent = list(range(g.n))
     for eid in ids:

@@ -731,25 +731,28 @@ LOOP_OK = [[[0, 1], 2]]
 EDGE_OK = [[0, 1], [1, 1]]
 
 
-def _plan(loop, edge, code, id, copies=2):
-    return pytest.param({"parts": {"l": loop, "e": edge}}, code, copies, id=id)
+def _plan(loop, edge, code, id, copies=2, message="malformed split plan"):
+    return pytest.param({"parts": {"l": loop, "e": edge}}, code, copies,
+                        message, id=id)
 
 
-@pytest.mark.parametrize("plan, code, copies", [
+@pytest.mark.parametrize("plan, code, copies, message", [
     _plan(LOOP_OK, EDGE_OK, 0, "well-formed"),
     _plan([[[-1, 0], 2]], EDGE_OK, 2, "loop-copy-negative"),
     _plan(LOOP_OK, [[True, 1], [1, 1]], 2, "copy-true"),
     _plan([[[5, 0], 2]], EDGE_OK, 2, "loop-copy-above-r"),
     _plan(LOOP_OK, [["x", 1], [1, 1]], 2, "copy-string"),
     _plan([[0, 2]], EDGE_OK, 2, "loop-copy-not-a-pair"),
-    _plan(LOOP_OK, [[0, "x"], [1, 1]], 2, "weight-string"),
+    _plan(LOOP_OK, [[0, "x"], [1, 1]], 1, "weight-string",
+          message="part weight at 'e' must be a positive integer"),
     _plan(LOOP_OK, [[0], [1, 1]], 1, "part-without-weight"),
     _plan([[[0, 1, 1], 2]], EDGE_OK, 1, "loop-copy-triple"),
-    pytest.param({"parts": [["e", 0, 2]]}, 1, 2, id="parts-list"),
+    pytest.param({"parts": [["e", 0, 2]]}, 1, 2, "malformed split plan",
+                 id="parts-list"),
     _plan([[[0, 0], 2]], [[0, 2]], 0, "one-copy", copies=1),
     _plan([[[0, 0], 2]], [[2, 2]], 2, "one-copy-index-2", copies=1),
 ])
-def test_split_vertex_plans(tmp_path, capsys, plan, code, copies):
+def test_split_vertex_plans(tmp_path, capsys, plan, code, copies, message):
     got, out, err = _run(capsys, "rewrite",
                          "--graph", _write(tmp_path, "g.json", SPLIT_G),
                          "split-vertex", "--vertex", "v", "--copies",
@@ -759,7 +762,7 @@ def test_split_vertex_plans(tmp_path, capsys, plan, code, copies):
     if code:
         assert out == "" and err.startswith("error: ")
     if code == 1:
-        assert "malformed split plan" in err
+        assert message in err
 
 
 # a (weight 2) with one weight-3 edge x: not pleasant until a is split in two
