@@ -31,7 +31,8 @@ GRAPHS = {"K6-w2": (6, 2), "K6-w3": (6, 3), "K7-w2": (7, 2),
           "edge-w1e6": (2, 10 ** 6)}
 SIZES = (40, 80, 120, 160, 200)
 
-# run in a `structure` child: load the graph, time one structure call
+# run in a `structure` child: load the graph, time one call of a `picard`
+# function; its answer is the count or the invariant factors
 STRUCTURE_CHILD = """
 import json, sys, time
 from chipfire import picard, serialize
@@ -40,7 +41,8 @@ with open(sys.argv[1], encoding="utf-8") as fh:
 t = time.perf_counter()
 s = getattr(picard, sys.argv[2])(g)
 t = time.perf_counter() - t
-print(json.dumps({"s": t, "factors": list(s.invariant_factors)}))
+print(json.dumps({"s": t, "answer": s if isinstance(s, int)
+                  else list(s.invariant_factors)}))
 """
 
 
@@ -86,15 +88,17 @@ def structure_points(n, tmp, seed):
                                [(1, 0.5), (2, 0.3), (3, 0.2)])
     graph_file = Path(tmp) / f"graph{n}.json"
     graph_file.write_text(json.dumps(graph), encoding="utf-8")
-    for structure in ("pic0_structure", "picb0_structure"):
+    for structure in ("count_pic0", "pic0_structure", "picb0_structure"):
         yield ({"n": n, "structure": structure},
                ["-c", STRUCTURE_CHILD, str(graph_file), structure])
 
 
 def structure_agreement(outs):
-    factors = [json.loads(out)["factors"] for out in outs]
-    return {"agree": all(f == factors[0] for f in factors),
-            "invariant_factors": len(factors[-1])}
+    answers = [json.loads(out)["answer"] for out in outs]
+    last = answers[-1]
+    return {"agree": all(a == answers[0] for a in answers),
+            **({"count_digits": len(str(last))} if isinstance(last, int)
+               else {"invariant_factors": len(last)})}
 
 
 # A suite: JSON key, seed, input option, points of one input, agreement fields
@@ -114,11 +118,12 @@ SUITES = {
     "structure": Suite(
         "structure_curve", 11, "--sizes", structure_points,
         structure_agreement, "agree", lambda wall, out: json.loads(out)["s"],
-        "Median seconds of one pic0_structure / picb0_structure call on one "
-        "seeded random pleasant graph per n (spanning tree plus 2n edges, "
-        "edge weights <= 6, vertex weights 1-3), each in a fresh process, "
-        "parent and change alternating; peak RSS is the largest over the "
-        "point's processes."),
+        "Median seconds of one count_pic0 / pic0_structure / picb0_structure "
+        "call on one seeded random pleasant graph per n (spanning tree plus "
+        "2n edges, edge weights <= 6, vertex weights 1-3), each in a fresh "
+        "process, parent and change alternating; count_pic0 is the "
+        "elimination alone, without the Smith step; peak RSS is the largest "
+        "over the point's processes."),
 }
 
 

@@ -12,6 +12,7 @@ from .divisors import Divisor, LaplacianSystem, degree, is_balanced
 from .errors import GraphInputError, InternalError, PreconditionError
 from .graphs import WeightedMultigraph, _distinct_json_keys, is_int, validate
 from .picard import picb0_structure
+from .serialize import malformed
 # unused here; perfbench's tests check that its tracer rebinds this alias
 from .trees import enumerate_forests  # noqa: F401
 
@@ -31,7 +32,8 @@ class SpecialFiberDescription:
             nodes = tuple((p["id"], p["ends"], p.get("degree", 1))
                           for p in obj["nodes"])
         except (KeyError, TypeError) as exc:
-            raise GraphInputError(f"malformed fiber object: {exc}") from exc
+            raise malformed("fiber", obj, ("components", "component", ("id",)),
+                            ("nodes", "node", ("id", "ends"))) from exc
         for node, ends, _ in nodes:
             if not isinstance(ends, list) or len(ends) != 2:
                 raise GraphInputError(f"node {node!r} needs a list of two ends")

@@ -488,7 +488,19 @@ def shrink_vertex_weight(g, v, new_weight):
 
 
 MALFORMED_PLAN = ('malformed split plan: "parts" must map edge ids to lists '
-                  "of [copy, weight], with a pair of copies for a loop")
+                  "of [copy, weight], with an int copy index, or a pair of "
+                  "them for a loop")
+
+
+def _plan_part(p):
+    """Whether p has the shape of a split plan's part: [copy, weight], the
+    copy an int or a pair of ints."""
+    if not (isinstance(p, (list, tuple)) and len(p) == 2):
+        return False
+    c = p[0]
+    if isinstance(c, (list, tuple)):
+        return len(c) == 2 and is_int(c[0]) and is_int(c[1])
+    return is_int(c)
 
 
 def split_vertex(g, v, r, plan):
@@ -501,12 +513,11 @@ def split_vertex(g, v, r, plan):
     does not determine it.  Returns the new graph and the map from every
     old vertex to the tuple of its copies.  With r = 1 the copy keeps v's
     id, and a plan with one part per edge gives a graph equal to g.
-    Raises GraphInputError on a part of any other shape or a part weight
-    that is not a positive int, and PreconditionError on the rest."""
-    if not all(isinstance(parts, (list, tuple)) and all(
-            isinstance(p, (list, tuple)) and len(p) == 2
-            and (not isinstance(p[0], (list, tuple)) or len(p[0]) == 2)
-            for p in parts) for parts in plan.values()):
+    Raises GraphInputError on a part of any other shape, a copy index that
+    is not an int or a part weight that is not a positive int, and
+    PreconditionError on the rest."""
+    if not all(isinstance(parts, (list, tuple)) and all(map(_plan_part, parts))
+               for parts in plan.values()):
         raise GraphInputError(MALFORMED_PLAN)
     for eid, parts in plan.items():
         for _, w in parts:
@@ -523,7 +534,7 @@ def split_vertex(g, v, r, plan):
         _keys(g.vertices), [f"{_json_key(v)}_{j}" for j in range(1, r + 1)])
 
     def copy(c):
-        if not is_int(c) or not 0 <= c < r:
+        if not 0 <= c < r:
             raise PreconditionError("plan copy index out of range")
         return names[c]
 
@@ -538,13 +549,14 @@ def split_vertex(g, v, r, plan):
             taken, [f"{_json_key(e.id)}.{k}" for k in range(1, len(parts) + 1)])
         pieces[e.id] = []
         for nid, (c, w) in zip(ids, parts):
-            if not e.is_loop:
-                ends = tuple(copy(c) if x == v else x for x in e.ends)
-            elif isinstance(c, (tuple, list)):  # a pair, checked above
-                ends = (copy(c[0]), copy(c[1]))
-            else:
+            # the shape was checked above: c is an int or a pair of ints
+            if isinstance(c, (tuple, list)) != e.is_loop:
                 raise PreconditionError(
-                    f"plan parts for loop {e.id!r} need a pair of copy indices")
+                    f"plan parts for loop {e.id!r} need a pair of copy indices"
+                    if e.is_loop else
+                    f"plan parts for edge {e.id!r} need one copy index")
+            ends = ((copy(c[0]), copy(c[1])) if e.is_loop
+                    else tuple(copy(c) if x == v else x for x in e.ends))
             pieces[e.id].append((nid, ends, w))
 
     copies[v] = tuple(names)

@@ -1,13 +1,19 @@
-"""Exact integer linear algebra on small dense matrices.
+"""Exact integer linear algebra on the matrices of graphs.
 
 Everything here works on plain lists of Python ints, so intermediate
-values may grow without overflow.  Matrices are lists of rows.
+values may grow without overflow.  Matrices are lists of rows.  The
+fraction-free elimination behind `det`, `solve`, `inverse` and
+`cyclic_split` takes rows and columns sparsest first and leaves alone the
+rows whose multiplier is 0, so on a sparse matrix, such as the reduced
+Laplacian of a graph with few edges per vertex, most rows are not touched
+at most steps.  The Smith diagonal is taken modulo a multiple of the
+cokernel's exponent, so its entries stay small.
 """
 
 from __future__ import annotations
 
 import math
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import InternalError
 
@@ -138,6 +144,18 @@ def _eliminate(M, n):
     input, and U y = t c of the result is equivalent to the input system
     for any scalar t.  Entries below the diagonal are left stale.
 
+    Rows are brought up to date lazily.  Step k would only multiply a row
+    whose multiplier is 0 by pivot / prev, so it leaves that row alone,
+    and tags[i] keeps the pivot that row i was last brought to: its
+    current entries are x * prev / tags[i], each a minor, so the division
+    is exact.  A step that does update the row folds that factor into its
+    division, (pivot * x - f * y) / tag with f the row's multiplier at its
+    tag; a row is brought up to date in one pass when it becomes the pivot
+    row, before a zero pivot's mirror and swap, and after the last step.
+    M so ends with the same upper triangle, extra columns included, as
+    eager Bareiss in the same order.  In a sparse matrix most multipliers
+    are 0, and their rows are not touched.
+
     When A is symmetric, as every reduced Laplacian is, each Schur
     complement that the steps leave in the active block is symmetric too,
     so row i at step k updates only columns i onwards (the upper triangle
@@ -147,18 +165,27 @@ def _eliminate(M, n):
     the general path, so it is the same minor.  A zero pivot on that path
     first copies the active block's upper triangle into its lower part;
     the row swap then breaks the symmetry, and the general path takes
-    over.  Below 4 x 4 the symmetric path saves at most one entry update,
-    less than the symmetry test costs, so it is not tried.
+    over.  Below 6 x 6 it saves no more entry updates than the symmetry
+    test makes comparisons (at most n(n-1)(n-2)/6 against n(n-1)/2), so
+    it is not tried.
     """
     if n == 0:
         return 1
-    sym = n >= 4 and _symmetric(M, n)
+    sym = n >= 6 and _symmetric(M, n)
+    width = len(M[0])
+    tags = [1] * n
     sign = 1
     prev = 1
     for k in range(n - 1):
         pivot_row = M[k]
-        pivot = pivot_row[k]
-        if not pivot:
+        if not pivot_row[k]:
+            for i in range(k, n):
+                t = tags[i]
+                if t != prev:
+                    row = M[i]
+                    for j in range(i if sym else k, width):
+                        row[j] = row[j] * prev // t
+                    tags[i] = prev
             if sym:
                 for i in range(k + 1, n):
                     M[i][k:i] = [M[j][i] for j in range(k, i)]
@@ -169,35 +196,71 @@ def _eliminate(M, n):
             M[k], M[p] = M[p], M[k]
             sign = -sign
             pivot_row = M[k]
-            pivot = pivot_row[k]
-        width = len(pivot_row)
-        for i in range(k + 1, n):
-            row = M[i]
-            if sym:
-                f, cols = pivot_row[i], range(i, width)
-            else:
-                f, cols = row[k], range(k + 1, width)
-            if f:
-                for j in cols:
-                    row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
-            else:
-                for j in cols:
-                    row[j] = pivot * row[j] // prev
+        else:
+            t = tags[k]
+            if t != prev:
+                for j in range(k, width):
+                    pivot_row[j] = pivot_row[j] * prev // t
+        pivot = pivot_row[k]
+        if sym:
+            for i in range(k + 1, n):
+                f = pivot_row[i]
+                if f:
+                    row = M[i]
+                    t = tags[i]
+                    if t != prev:
+                        f = f * t // prev
+                    for j in range(i, width):
+                        row[j] = (pivot * row[j] - f * pivot_row[j]) // t
+                    tags[i] = pivot
+        else:
+            for i in range(k + 1, n):
+                row = M[i]
+                f = row[k]
+                if f:
+                    t = tags[i]
+                    for j in range(k + 1, width):
+                        row[j] = (pivot * row[j] - f * pivot_row[j]) // t
+                    tags[i] = pivot
         prev = pivot
-    return sign * M[n - 1][n - 1]
+    last = M[n - 1]
+    t = tags[n - 1]
+    if t != prev:
+        for j in range(n - 1, width):
+            last[j] = last[j] * prev // t
+    return sign * last[n - 1]
+
+
+def _sparsest_first(A):
+    """(M, order): a copy of A with its rows and columns both taken in
+    `order`, fewest nonzero entries first (a stable sort), and that order,
+    or None when it is A's own.  M has A's determinant, and each minor of
+    M is one of A up to sign."""
+    n = len(A)
+    nonzeros = [n - row.count(0) for row in A]
+    if nonzeros == sorted(nonzeros):
+        return [list(row) for row in A], None
+    order = sorted(range(n), key=nonzeros.__getitem__)
+    take = itemgetter(*order)
+    return [list(take(row)) for row in take(A)], order
 
 
 def _solve_columns(A, cols):
     """(Y, d) with d = det(A) and A y == d c for each column c of cols and
     its y in Y, for a nonsingular square A.
 
-    One fraction-free elimination on [A | cols], then back-substitution of
-    each column with exact division: y = d A^-1 c is integral by Cramer's
-    rule, so a remainder means an internal fault.  Raises ValueError if A
-    is singular.
+    One fraction-free elimination on [A | cols], with A's rows and columns
+    and the entries of each c taken sparsest first, then back-substitution
+    of each column with exact division, and each y put back in A's order.
+    y = d A^-1 c is integral by Cramer's rule, so a remainder means an
+    internal fault.  Raises ValueError if A is singular.
     """
     n = len(A)
-    M = [[*map(int, row), *map(int, crow)] for row, crow in zip(A, zip(*cols))]
+    M, order = _sparsest_first(A)
+    if order is not None:
+        cols = list(map(itemgetter(*order), cols))
+    for row, crow in zip(M, zip(*cols)):
+        row += crow
     d = _eliminate(M, n)
     if d == 0:
         raise ValueError("singular matrix")
@@ -212,12 +275,16 @@ def _solve_columns(A, cols):
                 raise InternalError("fraction-free back-substitution left a "
                                     "remainder")
         Y.append(y)
+    if order is not None:
+        back = itemgetter(*sorted(range(n), key=order.__getitem__))
+        Y = [list(back(y)) for y in Y]
     return Y, d
 
 
 def det(A):
-    """Exact determinant of a square integer matrix (Bareiss)."""
-    return _eliminate([list(map(int, row)) for row in A], len(A))
+    """Exact determinant of a square integer matrix (Bareiss), eliminated
+    with its rows and columns taken sparsest first."""
+    return _eliminate(_sparsest_first(A)[0], len(A))
 
 
 def cyclic_split(A):
@@ -229,10 +296,12 @@ def cyclic_split(A):
     A is singular.
 
     The minors are two that Bareiss's elimination leaves in its last pivot
-    row, so this costs one determinant.
+    row.  It eliminates A with its rows and columns taken sparsest first,
+    as `det` does, so they are minors of A up to sign, and this costs one
+    determinant.
     """
     n = len(A)
-    M = [list(map(int, row)) for row in A]
+    M, _ = _sparsest_first(A)
     m = abs(_eliminate(M, n))
     if m == 0:
         raise ValueError("singular matrix")

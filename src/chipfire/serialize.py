@@ -71,6 +71,26 @@ def graph_to_obj(g: WeightedMultigraph):
     }
 
 
+def malformed(kind, obj, *lists):
+    """The GraphInputError for a `kind` file object that did not parse,
+    naming what is wrong: the first of `lists`, each (key, noun, fields),
+    that is not a list under its key or has an item that is not a JSON
+    object with every field; else an id that cannot be a key (a list or
+    an object)."""
+    for key, noun, fields in lists:
+        records = obj.get(key) if isinstance(obj, dict) else None
+        if not isinstance(records, list):
+            return GraphInputError(
+                f'malformed {kind} object: it needs a list under "{key}"')
+        if not all(isinstance(r, dict) and all(f in r for f in fields)
+                   for r in records):
+            return GraphInputError(
+                f"malformed {kind} object: every {noun} needs an "
+                + " and ".join(f'"{f}"' for f in fields))
+    return GraphInputError(f'malformed {kind} object: every "id" must be a '
+                           "string, number, boolean or null")
+
+
 def graph_from_obj(obj) -> WeightedMultigraph:
     try:
         vertices = [v["id"] for v in obj["vertices"]]
@@ -78,7 +98,8 @@ def graph_from_obj(obj) -> WeightedMultigraph:
         edges = [(e["id"], e["ends"]) for e in obj["edges"]]
         ew = {e["id"]: e.get("weight", 1) for e in obj["edges"]}
     except (KeyError, TypeError) as exc:
-        raise GraphInputError(f"malformed graph object: {exc}") from exc
+        raise malformed("graph", obj, ("vertices", "vertex", ("id",)),
+                        ("edges", "edge", ("id", "ends"))) from exc
     for eid, ends in edges:
         if not isinstance(ends, list) or len(ends) != 2:
             raise GraphInputError(f"edge {eid!r} needs a list of two ends")

@@ -574,6 +574,9 @@ TWIN_EDGES = {"vertices": [{"id": "u"}, {"id": "v"}],
     _group({**TW_OBJ, "edges": [{"id": "a", "ends": ["v1"]}]}, "ends-one"),
     _group({**TW_OBJ, "edges": [{"id": "a", "ends": ["v1", "v2", "v3"]}]},
            "ends-three"),
+    _group({"vertices": [{"id": "a"}]}, "graph-no-edges"),
+    _group({**TW_OBJ, "edges": [{"id": "a"}]}, "edge-no-ends"),
+    _group({**TW_OBJ, "vertices": [{"id": ["v1"]}]}, "vertex-id-list"),
     _group(b"\xff\xfe" + json.dumps(TW_OBJ).encode(), "not-utf-8"),
     _group(b"[" * 2000 + b"]" * 2000, "nested-2000-deep"),
     pytest.param("fiber", {"--fiber": {
@@ -585,6 +588,9 @@ TWIN_EDGES = {"vertices": [{"id": "u"}, {"id": "v"}],
     _fiber([{"id": ["C"]}], ["C", "C"], "fiber-component-id-list"),
     pytest.param("fiber", {"--fiber": {"components": [{"id": "C"}]}}, [],
                  id="fiber-no-nodes"),
+    pytest.param("fiber", {"--fiber": {"components": [{"id": "C"}],
+                                       "nodes": [3]}}, [],
+                 id="fiber-node-int"),
     _fiber([{"id": "C", "index": 0}], ["C", "C"], "fiber-index-0"),
     _fiber([{"id": "C", "index": "2"}], ["C", "C"], "fiber-index-string"),
     _fiber([{"id": "C"}], ["C", "D"], "fiber-unknown-component"),
@@ -628,6 +634,35 @@ def test_malformed_input_exits_1(tmp_path, capsys, command, files, extra):
         assert "--start" in err and "--root" in err
     if command == "selfcheck":
         assert extra[0] in err
+
+
+@pytest.mark.parametrize("command, obj, message", [
+    ("group", {"vertices": [{"id": "a"}]},
+     'malformed graph object: it needs a list under "edges"'),
+    ("group", [TW_OBJ],
+     'malformed graph object: it needs a list under "vertices"'),
+    ("group", {**TW_OBJ, "vertices": ["v1", "v2", "v3"]},
+     'malformed graph object: every vertex needs an "id"'),
+    ("group", {**TW_OBJ, "edges": [{"id": "a"}]},
+     'malformed graph object: every edge needs an "id" and "ends"'),
+    ("group", {**TW_OBJ, "vertices": [{"id": ["v1"]}]},
+     'malformed graph object: every "id" must be a string, number, boolean '
+     "or null"),
+    ("fiber", {"components": [{"id": "C"}], "nodes": [3]},
+     'malformed fiber object: every node needs an "id" and "ends"'),
+    ("fiber", {"components": [{"id": "C"}]},
+     'malformed fiber object: it needs a list under "nodes"'),
+    ("fiber", {"nodes": [], "components": [{"index": 2}]},
+     'malformed fiber object: every component needs an "id"'),
+], ids=["graph-no-edges", "graph-list", "vertices-strings", "edge-no-ends",
+        "vertex-id-list", "fiber-node-int", "fiber-no-nodes",
+        "fiber-component-no-id"])
+def test_a_malformed_object_names_the_field(tmp_path, capsys, command, obj,
+                                            message):
+    flag = "--graph" if command == "group" else "--fiber"
+    code, out, err = _run(capsys, command, flag,
+                          _write(tmp_path, "in.json", obj))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("graph, argv, files", [
@@ -729,6 +764,7 @@ SPLIT_G = {"vertices": [{"id": "v", "weight": 2}, {"id": "u"}],
                      {"id": "e", "ends": ["v", "u"], "weight": 2}]}
 LOOP_OK = [[[0, 1], 2]]
 EDGE_OK = [[0, 1], [1, 1]]
+OUT_OF_RANGE = "plan copy index out of range"
 
 
 def _plan(loop, edge, code, id, copies=2, message="malformed split plan"):
@@ -738,19 +774,26 @@ def _plan(loop, edge, code, id, copies=2, message="malformed split plan"):
 
 @pytest.mark.parametrize("plan, code, copies, message", [
     _plan(LOOP_OK, EDGE_OK, 0, "well-formed"),
-    _plan([[[-1, 0], 2]], EDGE_OK, 2, "loop-copy-negative"),
-    _plan(LOOP_OK, [[True, 1], [1, 1]], 2, "copy-true"),
-    _plan([[[5, 0], 2]], EDGE_OK, 2, "loop-copy-above-r"),
-    _plan(LOOP_OK, [["x", 1], [1, 1]], 2, "copy-string"),
-    _plan([[0, 2]], EDGE_OK, 2, "loop-copy-not-a-pair"),
+    _plan([[[-1, 0], 2]], EDGE_OK, 2, "loop-copy-negative",
+          message=OUT_OF_RANGE),
+    _plan(LOOP_OK, [[True, 1], [1, 1]], 1, "copy-true"),
+    _plan([[[5, 0], 2]], EDGE_OK, 2, "loop-copy-above-r",
+          message=OUT_OF_RANGE),
+    _plan(LOOP_OK, [["x", 1], [1, 1]], 1, "copy-string"),
+    _plan([[0, 2]], EDGE_OK, 2, "loop-copy-not-a-pair",
+          message="plan parts for loop 'l' need a pair of copy indices"),
     _plan(LOOP_OK, [[0, "x"], [1, 1]], 1, "weight-string",
           message="part weight at 'e' must be a positive integer"),
     _plan(LOOP_OK, [[0], [1, 1]], 1, "part-without-weight"),
     _plan([[[0, 1, 1], 2]], EDGE_OK, 1, "loop-copy-triple"),
+    _plan([[[0, "x"], 2]], EDGE_OK, 1, "loop-copy-string"),
+    _plan(LOOP_OK, [[[0, 1], 1], [1, 1]], 2, "edge-copy-pair",
+          message="plan parts for edge 'e' need one copy index"),
     pytest.param({"parts": [["e", 0, 2]]}, 1, 2, "malformed split plan",
                  id="parts-list"),
     _plan([[[0, 0], 2]], [[0, 2]], 0, "one-copy", copies=1),
-    _plan([[[0, 0], 2]], [[2, 2]], 2, "one-copy-index-2", copies=1),
+    _plan([[[0, 0], 2]], [[2, 2]], 2, "one-copy-index-2", copies=1,
+          message=OUT_OF_RANGE),
 ])
 def test_split_vertex_plans(tmp_path, capsys, plan, code, copies, message):
     got, out, err = _run(capsys, "rewrite",
@@ -761,7 +804,6 @@ def test_split_vertex_plans(tmp_path, capsys, plan, code, copies, message):
     assert got == code and "Traceback" not in err
     if code:
         assert out == "" and err.startswith("error: ")
-    if code == 1:
         assert message in err
 
 

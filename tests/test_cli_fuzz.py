@@ -93,6 +93,7 @@ PRECONDITIONS = re.compile("|".join([
     r"plan copy index out of range",
     r"plan parts for edge .+ must sum to its weight",
     r"plan parts for loop .+ need a pair of copy indices",
+    r"plan parts for edge .+ need one copy index",
     r"the graph is not pleasant: .+",
     r"split plan breaks pleasantness",
 ]))

@@ -42,6 +42,47 @@ symmetric_matrices = st.integers(1, 6).flatmap(
         lambda upper: _mirrored(n, upper)))
 
 
+# off-diagonal entries of sparse symmetric matrices: mostly 0
+SPARSE_ENTRIES = (0, 0, 0, 0, 0, 0, 0, -1, 1, -2, 2, -3)
+
+
+@st.composite
+def sparse_symmetric_matrices(draw, max_n=10):
+    """Symmetric matrices up to max_n x max_n, most entries off the
+    diagonal 0, the diagonal from -3 to 6, so some zero and negative
+    pivots come up, and sizes where the symmetric path runs."""
+    n = draw(st.integers(1, max_n))
+    A = [[0] * n for _ in range(n)]
+    for i in range(n):
+        A[i][i] = draw(st.integers(-3, 6))
+        for j in range(i + 1, n):
+            A[i][j] = A[j][i] = draw(st.sampled_from(SPARSE_ENTRIES))
+    return A
+
+
+def _eager_bareiss(M, n):
+    """Bareiss forward elimination on the n rows of M, in place, updating
+    every row below the pivot at every step, its multiplier 0 or not, and
+    swapping in the first row below with a nonzero entry for a zero pivot;
+    returns the determinant of the first n columns."""
+    sign = prev = 1
+    for k in range(n - 1):
+        p = next((i for i in range(k, n) if M[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            M[k], M[p] = M[p], M[k]
+            sign = -sign
+        pivot_row = M[k]
+        pivot = pivot_row[k]
+        for row in M[k + 1:n]:
+            f = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+        prev = pivot
+    return sign * M[n - 1][n - 1] if n else 1
+
+
 def _sympy_diagonal(A):
     """Nonnegative Smith diagonal of A, min(rows, cols) entries long."""
     diag = [abs(int(x)) for x in sympy_snf(sympy.Matrix(A), domain=ZZ).diagonal()]
@@ -227,12 +268,18 @@ def test_roadmap_7x7_laplacian(roadmap_7x7):
 
 
 def test_random_weighted_laplacians():
+    # ladder-shaped reduced Laplacians, a spanning tree plus 2n edges, the
+    # shape on which most multipliers are 0 and most rows stay stale
     rng = random.Random(1)
-    for n in range(5, 41):
+    for n in [*range(5, 41), 50, 60, 70, 80]:
         Lr = [row[1:] for row in _random_laplacian(rng, n)[1:]]
         _, e = intlinalg.inverse(Lr)
         diag = intlinalg.smith_diagonal(Lr, e)
-        assert math.prod(diag) == intlinalg.det(Lr)
+        d = intlinalg.det(Lr)
+        assert math.prod(diag) == d
+        assert intlinalg.cyclic_split(Lr)[0] == d
+        if n <= 20:
+            assert d == sympy.Matrix(Lr).det()
         if n <= 12:
             want = [int(d) for d in sympy_invariants(sympy.Matrix(Lr), domain=ZZ)]
             assert [d for d in diag if d > 1] == [d for d in want if d > 1]
@@ -261,7 +308,7 @@ def test_symmetric_elimination_matches_sympy(A, b):
 def test_symmetric_elimination_through_a_zero_pivot():
     # a first pivot of 0, [[0, 1], [1, 0]], is in
     # test_det_of_empty_and_singular_matrices; here the second pivot is 0
-    # after one symmetric step, so the active block is mirrored and swapped
+    # after one step in the given order
     assert intlinalg.det([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == -1
     y, d = intlinalg.solve([[1, 1, 0], [1, 1, 1], [0, 1, 1]], [1, 2, 3])
     assert d == -1 and y == [1, -2, -1]
@@ -271,3 +318,59 @@ def test_symmetric_elimination_through_a_zero_pivot():
     # the reduced Laplacian of two disjoint edges, ab and cd
     L = [[1, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]]
     assert intlinalg.det([row[1:] for row in L[1:]]) == 0
+
+
+def test_a_zero_pivot_on_the_symmetric_path_mirrors_stale_rows():
+    # the 3 x 3 block above and the identity, in this order: the first step
+    # updates row 1 only and leaves rows 2-5 stale, the second pivot is 0,
+    # so the stale rows are brought up to date, mirrored and swapped
+    block = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+    A = [row + [0] * 3 for row in block] + \
+        [[0] * 3 + [int(i == j) for j in range(3)] for i in range(3)]
+    M = [row + [i, 1] for i, row in enumerate(A)]
+    want = [row[:] for row in M]
+    assert intlinalg._eliminate(M, 6) == _eager_bareiss(want, 6) == -1
+    assert [row[k:] for k, row in enumerate(M)] == \
+        [row[k:] for k, row in enumerate(want)]
+
+
+@given(st.one_of(sparse_symmetric_matrices(), square_matrices),
+       st.lists(st.integers(-9, 9), min_size=20, max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_lazy_elimination_leaves_the_eager_upper_triangle(A, extra):
+    # two extra columns, as a solve carries its right-hand sides
+    n = len(A)
+    M = [row + extra[2 * i:2 * i + 2] for i, row in enumerate(A)]
+    want = [row[:] for row in M]
+    d = intlinalg._eliminate(M, n)
+    assert d == _eager_bareiss(want, n)
+    if d:
+        assert [row[k:] for k, row in enumerate(M)] == \
+            [row[k:] for k, row in enumerate(want)]
+
+
+@given(sparse_symmetric_matrices(),
+       st.lists(st.integers(-9, 9), min_size=10, max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_sparse_symmetric_elimination_matches_sympy(A, b):
+    n = len(A)
+    S = sympy.Matrix(A)
+    d = S.det()
+    assert intlinalg.det(A) == d
+    if d == 0:
+        for call in (intlinalg.cyclic_split, intlinalg.inverse,
+                     lambda A: intlinalg.solve(A, b[:n])):
+            with pytest.raises(ValueError):
+                call(A)
+        return
+    y, got_d = intlinalg.solve(A, b[:n])
+    assert got_d == d
+    assert sympy.Matrix(y) == d * S.LUsolve(sympy.Matrix(b[:n]))
+    # the gcd of the (n-1)-minors, the entries of the adjugate d A^-1
+    minors = math.gcd(*(int(x) for x in d * S.inv()))
+    X, e = intlinalg.inverse(A)
+    assert S * sympy.Matrix(X) == e * sympy.eye(n)
+    assert e == abs(d) // minors
+    m, m1 = intlinalg.cyclic_split(A)
+    assert m == abs(d) and m % m1 == 0
+    assert math.gcd(m // m1, minors) == 1

@@ -261,6 +261,35 @@ def _stale_symmetric_multiplier(original):
     return fault
 
 
+def _stale_rows_taken_as_current(original):
+    # `intlinalg._eliminate` leaving the rows whose multiplier is 0 alone,
+    # as the lazy scaling does, but updating such a row later as though it
+    # had been scaled: the prev / tag factor is dropped, so the row's
+    # update divides by the last pivot where it should divide by the one
+    # it was last brought to
+    def fault(M, n):
+        if n == 0:
+            return 1
+        sign = prev = 1
+        for k in range(n - 1):
+            p = next((i for i in range(k, n) if M[i][k]), None)
+            if p is None:
+                return 0
+            if p != k:
+                M[k], M[p] = M[p], M[k]
+                sign = -sign
+            pivot_row = M[k]
+            pivot = pivot_row[k]
+            for row in M[k + 1:n]:
+                f = row[k]
+                if f:
+                    for j in range(k + 1, len(pivot_row)):
+                        row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+            prev = pivot
+        return sign * M[n - 1][n - 1]
+    return fault
+
+
 def _box_target_negated(original):
     # the meet in the middle solves for minus its target, a sign slip in
     # the key difference that the walk hands it
@@ -328,6 +357,13 @@ FAULTS = [
     pytest.param(intlinalg, "_eliminate", _stale_symmetric_multiplier,
                  {"matrix-tree", "invariance"},
                  id="symmetric-bareiss-stale-multiplier"),
+    # a row left stale at one step and updated at a later one: any reduced
+    # Laplacian with a zero off the diagonal, so |Pic0| in the matrix-tree
+    # leg, the inverse behind the completeness leg's class keys, and the
+    # structures that the invariance leg compares
+    pytest.param(intlinalg, "_eliminate", _stale_rows_taken_as_current,
+                 {"matrix-tree", "completeness", "invariance"},
+                 id="lazy-bareiss-stale-row-taken-as-current"),
     # only `reduce` solves boxes, and it checks its certificate, so a wrong
     # tree raises InternalError inside the torsor axioms; the oracle table
     # of the completeness leg walks every class without the solver

@@ -58,7 +58,7 @@ def test_cli_digest_matches_its_golden_file():
 
 def test_structure_curve_smallest_rung(tmp_path):
     """`scripts/curve.py structure` at n = 40 only, this checkout against
-    itself: one process per point."""
+    itself: one process per point, the count and both structures."""
     out = tmp_path / "bench.json"
     out.write_text('{"kept": 1}', encoding="utf-8")
     proc = subprocess.run(
@@ -70,9 +70,11 @@ def test_structure_curve_smallest_rung(tmp_path):
     points = doc["structure_curve"]["points"]
     assert doc["kept"] == 1
     assert [(p["n"], p["structure"]) for p in points] == \
-        [(40, "pic0_structure"), (40, "picb0_structure")]
+        [(40, "count_pic0"), (40, "pic0_structure"), (40, "picb0_structure")]
     assert all(p["agree"] and p["parent_s"] > 0 and p["change_s"] > 0
-               and p["invariant_factors"] > 1 for p in points)
+               for p in points)
+    assert points[0]["count_digits"] > 1
+    assert all(p["invariant_factors"] > 1 for p in points[1:])
 
 
 def test_reduce_curve_smallest_rung(tmp_path):
